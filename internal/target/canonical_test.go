@@ -30,28 +30,12 @@ func lexBetter(a, b []bool) bool {
 
 // bruteForceLex enumerates every assignment and returns the soft
 // projection of the lexicographically-preferred minimal-distance model,
-// or ok=false when the clause set is unsatisfiable.
+// or ok=false when the clause set (with the assumptions) is
+// unsatisfiable.
 func (in *instance) bruteForceLex() (best []bool, ok bool) {
 	bestDist := in.nVars + len(in.soft) + 1
 	for m := 0; m < 1<<uint(in.nVars); m++ {
-		val := func(l sat.Lit) bool {
-			bit := m>>uint(l.Var())&1 == 1
-			return bit != l.Neg()
-		}
-		satisfied := true
-		for _, c := range in.clauses {
-			cv := false
-			for _, l := range c {
-				if val(l) {
-					cv = true
-					break
-				}
-			}
-			if !cv {
-				satisfied = false
-				break
-			}
-		}
+		val, satisfied := in.eval(m)
 		if !satisfied {
 			continue
 		}

@@ -10,13 +10,17 @@
 //
 // The distance bound is maintained by a truncated totalizer cardinality
 // encoding over the mismatch literals (totalizer.go); the encoding is
-// built once, truncated at the first model's distance, and every later
-// bound tightening reuses its clauses. Two search strategies drive the
-// bound: linear descent (solve, count, assert ≤ d−1, repeat) and binary
-// search on the bound between 0 and the first distance. Both interact
-// with the solver only through added clauses and assumptions, so they
-// compose with prior incremental state (hardened assumptions, learnt
-// clauses).
+// built once and every later bound tightening reuses its clauses. Its
+// truncation is the distance of a core-tightened first model (relax):
+// assumption probes relax disjoint failed-assumption cores of the soft
+// set until the rest is satisfiable, which both lowers the distance the
+// counter must express and proves a lower bound on the minimum (the
+// disjoint-core bound of core-guided MaxSAT, Fu & Malik 2006). Two search
+// strategies then drive the bound: linear descent (solve, count, assert
+// ≤ d−1, repeat) and binary search on the bound between the lower bound
+// and the tightened distance. Both interact with the solver only through
+// added clauses and assumptions, so they compose with prior incremental
+// state (hardened assumptions, learnt clauses).
 package target
 
 import (
@@ -89,9 +93,9 @@ const (
 	// mismatches d, assert ≤ d−1, repeat until UNSAT. Each probe's bound
 	// is asserted permanently, so learnt clauses compound.
 	StrategyLinear
-	// StrategyBinary bisects the bound between 0 and the first model's
-	// distance, probing each midpoint under an assumption so failed
-	// (UNSAT) probes retract cleanly.
+	// StrategyBinary bisects the bound between the proved lower bound and
+	// the best distance found, probing each midpoint under an assumption
+	// so failed (UNSAT) probes retract cleanly.
 	StrategyBinary
 )
 
@@ -120,8 +124,8 @@ func ParseStrategy(s string) (Strategy, bool) {
 }
 
 // defaultStrategy resolves StrategyAuto. Linear descent is the default:
-// the truncated totalizer already caps the search range at the first
-// model's distance, and each SAT step makes real progress (EXPERIMENTS.md
+// core relaxation already narrows the search range to [lb, tightened
+// distance], and each SAT step makes real progress (EXPERIMENTS.md
 // §Ablations).
 var defaultStrategy = StrategyLinear
 
@@ -194,8 +198,10 @@ type Options struct {
 // Step describes one solver probe during minimisation, for the OnStep
 // observability hook.
 type Step struct {
-	Solve    int        // 1-based probe index
-	Bound    int        // distance cap in effect (-1: unbounded first solve)
+	Solve int // 1-based probe index
+	// Bound is the distance cap in effect; -1 marks an uncapped probe (the
+	// first solve and the core-relaxation probes that follow it).
+	Bound    int
 	Status   sat.Status // probe outcome
 	Distance int        // model distance (valid when Status == Sat)
 }
@@ -204,7 +210,7 @@ type Step struct {
 type Stats struct {
 	Solves    int   // SAT probes issued
 	Conflicts int64 // solver conflicts attributable to this run
-	Bounds    []int // bound trajectory, one entry per probe (-1 first)
+	Bounds    []int // bound trajectory, one entry per probe (-1 uncapped)
 	// Stop records why the run gave up before proving optimality
 	// (StopNone when it ran to completion). When Result.Status is Sat and
 	// Stop is not StopNone, Result.Model is the best model found before
@@ -354,36 +360,149 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 		return finish()
 	}
 
-	// Mismatch indicators: soft literal false ⇔ one unit of distance.
-	mism := make([]sat.Lit, len(soft))
-	for i, l := range soft {
-		mism[i] = l.Not()
-	}
 	retractable := opts.Retractable || st == StrategyBinary
-	bound := r.Distance
-	if opts.Canonical && retractable {
-		// The canonical pass caps probes at the *achieved* distance, so
-		// the counter must express ≤ d even when the first model is
-		// already optimal (no descent happened): truncate one level later.
-		bound++
-	}
-	var tot *totalizer
-	if opts.Encoder != nil && retractable {
-		tot = opts.Encoder.get(s, mism, bound)
-	} else {
-		tot = newTotalizer(s, mism, bound)
+	canonical := opts.Canonical && retractable
+	// truncation is the counter width a best distance d needs. The
+	// canonical pass caps probes at the *achieved* distance, so the
+	// counter must express ≤ d even when no descent step happens:
+	// truncate one level later.
+	truncation := func(d int) int {
+		if canonical && d < len(soft) {
+			return d + 1
+		}
+		return d
 	}
 
+	// A session whose cached counter already covers the first model's
+	// distance (the warm path) descends on it directly. Otherwise the
+	// first model is core-tightened before a counter is sized to it.
+	cached := opts.Encoder != nil && retractable
+	var enc *cachedEncoder
+	if cached {
+		enc = opts.Encoder.lookup(soft)
+	}
+	lb := 0
+	if !enc.covers(truncation(r.Distance)) {
+		var done bool
+		if lb, done = relax(s, soft, &r, probe, budgetLeft); !done {
+			return finish() // stopped: Optimal stays false (see relax)
+		}
+		if r.Distance == 0 || (lb == r.Distance && !canonical) {
+			// Nothing left to search, and no canonical pass needs a cap.
+			r.Optimal = true
+			return finish()
+		}
+	}
+	var tot *totalizer
+	if cached {
+		tot = opts.Encoder.get(s, soft, enc, truncation(r.Distance))
+	} else {
+		tot = newTotalizer(s, mismatches(soft), truncation(r.Distance))
+	}
+
+	// Both strategies stop at lb, so when the disjoint cores already prove
+	// the tightened distance minimal they issue no probe.
 	switch st {
 	case StrategyBinary:
-		binarySearch(s, soft, tot, &r, probe, budgetLeft)
+		binarySearch(s, soft, tot, &r, lb, probe, budgetLeft)
 	default:
-		linearDescent(s, soft, tot, &r, probe, budgetLeft, opts.Retractable)
+		linearDescent(s, soft, tot, &r, lb, probe, budgetLeft, opts.Retractable)
 	}
-	if opts.Canonical && retractable && r.Status == sat.Sat && r.Optimal && r.Distance > 0 {
+	if canonical && r.Status == sat.Sat && r.Optimal && r.Distance > 0 {
 		canonicalize(s, soft, tot, &r, probe, budgetLeft)
 	}
 	return finish()
+}
+
+// relax tightens the first model before a counter is sized to it. Each
+// step probes with every not-yet-relaxed soft literal assumed at its
+// target. An UNSAT probe relaxes the soft positions its failed-assumption
+// core names (core members that are not soft, i.e. Options.Assumptions,
+// stay assumed); a SAT probe ends the loop. The relaxed sets are pairwise
+// disjoint cores, each of which every model misses at least once, so
+// their count lb is a proved lower bound on the minimal distance, and the
+// loop issues lb+1 probes (plus the one below, when needed).
+//
+// The SAT model misses only relaxed positions. It replaces the first
+// model unless it misses more than the first model's distance, which
+// large cores make possible: then one more probe, assuming the soft
+// literals the first model satisfies, finds a model no farther than the
+// first. Either way the solver's retained model ends equal to r.Model,
+// since UNSAT and stopped probes leave it untouched. done is false when a
+// budget, MaxSolves or cancellation stopped a probe; r is then the plain
+// first model — except when the stop hit that extra probe, where r takes
+// the retained relaxation model so the two still agree.
+func relax(s *sat.Solver, soft []sat.Lit, r *Result,
+	probe func(int, ...sat.Lit) sat.Status, budgetLeft func() bool) (lb int, done bool) {
+	relaxed := make([]bool, len(soft))
+	assumps := make([]sat.Lit, 0, len(soft))
+	inCore := make(map[sat.Lit]bool)
+	for {
+		if !budgetLeft() {
+			return lb, false
+		}
+		assumps = assumps[:0]
+		for i, l := range soft {
+			if !relaxed[i] {
+				assumps = append(assumps, l)
+			}
+		}
+		switch probe(-1, assumps...) {
+		case sat.Sat:
+			return lb, adopt(s, soft, r, assumps, probe, budgetLeft)
+		case sat.Unsat:
+		default:
+			return lb, false
+		}
+		clear(inCore)
+		for _, l := range s.Core() {
+			inCore[l] = true
+		}
+		grew := false
+		for i, l := range soft {
+			if !relaxed[i] && inCore[l] {
+				relaxed[i] = true
+				grew = true
+			}
+		}
+		if !grew {
+			// Only a core of Options.Assumptions alone relaxes nothing,
+			// and those were satisfiable with the first model. Fail safe:
+			// keep the first model and the bound proved so far.
+			return lb, true
+		}
+		lb++
+	}
+}
+
+// adopt takes the model of relaxation's SAT probe as r's best when it is
+// no farther than r's, and otherwise re-establishes a model at most as far
+// as r's (see relax). scratch is reused for the extra probe's assumptions.
+func adopt(s *sat.Solver, soft []sat.Lit, r *Result, scratch []sat.Lit,
+	probe func(int, ...sat.Lit) sat.Status, budgetLeft func() bool) (done bool) {
+	m := s.Model()
+	d := distance(m, soft)
+	if d <= r.Distance {
+		r.Model, r.Distance = m, d
+		return true
+	}
+	if budgetLeft() {
+		kept := scratch[:0]
+		for _, l := range soft {
+			if r.Model[l.Var()] != l.Neg() {
+				kept = append(kept, l)
+			}
+		}
+		// r.Model witnesses these assumptions, so the probe is SAT unless
+		// stopped.
+		if probe(-1, kept...) == sat.Sat {
+			r.Model = s.Model()
+			r.Distance = distance(r.Model, soft)
+			return true
+		}
+	}
+	r.Model, r.Distance = m, d
+	return false
 }
 
 // canonicalize pins the soft projection of a proved-minimal model to the
@@ -401,7 +520,7 @@ func canonicalize(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result,
 	if capLit, ok := tot.atMostLit(r.Distance); ok {
 		pins = append(pins, capLit)
 	} else if r.Distance < len(soft) {
-		// Cannot happen: the truncation covers [0, firstDistance]; a cap is
+		// Cannot happen: the truncation covers [0, distance]; a cap is
 		// absent only when every soft literal mismatches (vacuous). Fail
 		// safe rather than probe uncapped.
 		return
@@ -437,12 +556,13 @@ scan:
 }
 
 // linearDescent repeatedly caps "distance ≤ current − 1" and re-solves;
-// UNSAT proves the current distance minimal. The cap is a permanently
-// asserted unit clause by default (learnt clauses compound across probes),
-// or an assumption literal in retractable mode (the session stays clean).
-func linearDescent(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result,
+// UNSAT, or reaching the proved lower bound lb, proves the current
+// distance minimal. The cap is a permanently asserted unit clause by
+// default (learnt clauses compound across probes), or an assumption
+// literal in retractable mode (the session stays clean).
+func linearDescent(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result, lb int,
 	probe func(int, ...sat.Lit) sat.Status, budgetLeft func() bool, retractable bool) {
-	for r.Distance > 0 {
+	for r.Distance > lb {
 		if !budgetLeft() {
 			return // best-so-far, Optimal stays false
 		}
@@ -451,7 +571,7 @@ func linearDescent(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result,
 			capLit, ok := tot.atMostLit(r.Distance - 1)
 			if !ok {
 				// Beyond the truncated range; cannot happen since the
-				// encoder covers [0, firstDistance), but fail safe.
+				// encoder covers [0, tightened distance), but fail safe.
 				return
 			}
 			caps = []sat.Lit{capLit}
@@ -479,18 +599,18 @@ func linearDescent(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result,
 }
 
 // binarySearch bisects the bound in [lo, hi) where hi is the best
-// achieved distance and lo the smallest not-yet-excluded distance.
-// Probes assume the cap rather than asserting it, so an UNSAT probe
-// leaves the clause set unconstrained for the next (higher) midpoint.
-func binarySearch(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result,
+// achieved distance and lo the smallest not-yet-excluded distance,
+// starting from the proved lower bound lb. Probes assume the cap rather
+// than asserting it, so an UNSAT probe leaves the clause set
+// unconstrained for the next (higher) midpoint.
+func binarySearch(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result, lo int,
 	probe func(int, ...sat.Lit) sat.Status, budgetLeft func() bool) {
-	lo := 0
 	for lo < r.Distance {
 		mid := lo + (r.Distance-lo)/2 // mid < r.Distance: probe is a strict improvement
 		capLit, ok := tot.atMostLit(mid)
 		if !ok {
 			// mid is beyond the truncated range; cannot happen since the
-			// encoder covers [0, firstDistance), but fail safe.
+			// encoder covers [0, tightened distance), but fail safe.
 			return
 		}
 		if !budgetLeft() {
@@ -509,6 +629,16 @@ func binarySearch(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result,
 	r.Optimal = true
 	// The last SAT probe produced the best model, so the solver's
 	// retained model matches r.Model even if later probes were UNSAT.
+}
+
+// mismatches returns the counter's inputs: soft literal false ⇔ one unit
+// of distance.
+func mismatches(soft []sat.Lit) []sat.Lit {
+	mism := make([]sat.Lit, len(soft))
+	for i, l := range soft {
+		mism[i] = l.Not()
+	}
+	return mism
 }
 
 // distance counts falsified soft literals under a model.
