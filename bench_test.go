@@ -340,8 +340,6 @@ func reportReuse(b *testing.B, st muppet.ReuseStats) {
 	b.ReportMetric(float64(st.Encoding.ArenaBytes), "arena-bytes")
 	b.ReportMetric(float64(st.Encoding.ChronoBacktracks), "chrono-backtracks")
 	b.ReportMetric(float64(st.Encoding.OTFSubsumed), "otf-subsumed")
-	b.ReportMetric(float64(st.Encoding.InprocessRuns), "inprocess-runs")
-	b.ReportMetric(float64(st.Encoding.Vivified), "vivified")
 }
 
 // BenchmarkAlg2ReconcileWarm is Alg. 2 on the walkthrough served from a
@@ -442,53 +440,6 @@ func BenchmarkAblationNoRestarts(b *testing.B) {
 // factory.
 func BenchmarkAblationNoHashCons(b *testing.B) {
 	benchSolveWith(b, sat.Options{}, boolcirc.Options{NoHashCons: true})
-}
-
-// BenchmarkInprocessTuning sweeps the two inprocessing budget knobs on
-// the services=12 cold reconcile, one axis at a time around the defaults
-// (vivification budget 100k propagations per round, BVE on every 4th
-// tick). The grid backs the tuning table in EXPERIMENTS.md; the default
-// cells double as regression anchors for the chosen settings.
-func BenchmarkInprocessTuning(b *testing.B) {
-	sc := muppet.GenerateScenario(muppet.ScenarioParams{
-		Services:        12,
-		PortsPerService: 2,
-		Flows:           12,
-		BannedPorts:     2,
-		Seed:            42,
-	})
-	sys, err := sc.System()
-	if err != nil {
-		b.Fatal(err)
-	}
-	k8sParty, _, err := muppet.NewK8sParty(sys, sc.K8sCurrent, muppet.AllSoft(), sc.K8sGoals)
-	if err != nil {
-		b.Fatal(err)
-	}
-	istioParty, _, err := muppet.NewIstioParty(sys, sc.IstioCurrent, muppet.AllSoft(), sc.IstioRelaxed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	parties := []*muppet.Party{k8sParty, istioParty}
-	run := func(name string, vivify, bve int64) {
-		b.Run(name, func(b *testing.B) {
-			prevV, prevB := muppet.SetInprocessTuning(vivify, bve)
-			defer muppet.SetInprocessTuning(prevV, prevB)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if res := muppet.Reconcile(sys, parties); !res.OK {
-					b.Fatal("must reconcile")
-				}
-			}
-		})
-	}
-	run("vivify=off", -1, 0)
-	run("vivify=25k", 25_000, 0)
-	run("vivify=default", 0, 0)
-	run("vivify=400k", 400_000, 0)
-	run("bve=2", 0, 2)
-	run("bve=default", 0, 0)
-	run("bve=8", 0, 8)
 }
 
 // --- encoding ablations (DESIGN.md Sec. 11) ---

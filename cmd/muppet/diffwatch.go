@@ -129,7 +129,7 @@ func runDiff(ctx context.Context, args []string) error {
 	}
 	printDeltaStats(ds)
 	if lim.verbose {
-		printReuse(cache.Stats(), cache.Workers())
+		printReuse(cache.Stats())
 	}
 	fmt.Print(resp.Output)
 	if resp.Code != exitSat {

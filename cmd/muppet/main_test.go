@@ -230,7 +230,6 @@ func TestClientModeMatchesLocal(t *testing.T) {
 
 func TestClientModeRejectsDaemonSideFlags(t *testing.T) {
 	for _, argv := range [][]string{
-		{"reconcile", "-files", fig1Files, "-addr", "127.0.0.1:1", "-portfolio", "2"},
 		{"reconcile", "-files", fig1Files, "-addr", "127.0.0.1:1", "-strategy", "linear"},
 		{"reconcile", "-files", fig1Files, "-addr", "127.0.0.1:1", "-v"},
 	} {

@@ -37,10 +37,9 @@
 // Request bodies are JSON (see internal/server.Request); budgets travel
 // in the X-Muppet-Timeout and X-Muppet-Max-Conflicts headers, capped by
 // -max-timeout. -cache-budget-mb bounds idle warm-session memory across
-// all tenants; -router composes solver pools per op. Overload is
-// rejected with 429 + Retry-After. SIGINT or SIGTERM drains gracefully:
-// admission stops, in-flight solves get -drain-grace to finish, then are
-// cancelled and answered indeterminate.
+// all tenants. Overload is rejected with 429 + Retry-After. SIGINT or
+// SIGTERM drains gracefully: admission stops, in-flight solves get
+// -drain-grace to finish, then are cancelled and answered indeterminate.
 package main
 
 import (
@@ -57,7 +56,6 @@ import (
 	"syscall"
 	"time"
 
-	"muppet"
 	"muppet/internal/buildinfo"
 	"muppet/internal/faultinject"
 	"muppet/internal/server"
@@ -85,7 +83,6 @@ func run(argv []string, ready func(addr string)) int {
 	tenantDir := fs.String("tenant-dir", "", "directory of <id>/tenant.yaml manifests to serve as tenants")
 	tenantRescan := fs.Duration("tenant-rescan", 0, "poll -tenant-dir for changes this often (0 = SIGHUP/admin only)")
 	cacheBudgetMB := fs.Int("cache-budget-mb", 0, "idle warm-cache memory budget across all tenants, MiB (0 = unlimited)")
-	routerPath := fs.String("router", "", "solver-pool router YAML (default: every op on one warm-cache pool)")
 	addr := fs.String("addr", "127.0.0.1:8337", "listen address")
 	concurrency := fs.Int("concurrency", 0, "solver workers (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 0, "admission queue bound (0 = 2×concurrency)")
@@ -97,7 +94,6 @@ func run(argv []string, ready func(addr string)) int {
 		"watch long-poll timeout before an empty 204 re-poll hint")
 	watchMaxEvents := fs.Int("watch-max-events", 0,
 		"cap on events per SSE watcher before its stream is closed (0 = unlimited)")
-	portfolio := fs.Int("portfolio", 0, "race N diversified solver configurations per solve (0/1 = off)")
 	strategy := fs.String("strategy", "auto", "minimal-edit distance search: auto|linear|binary")
 	fedParty := fs.String("fed-party", "",
 		"serve the federated negotiation peer protocol under /fed/ for this party: k8s|istio (requires -files)")
@@ -133,24 +129,14 @@ func run(argv []string, ready func(addr string)) int {
 		fmt.Fprintln(os.Stderr, "muppetd:", err)
 		return server.CodeUsage
 	}
-	// Strategy and portfolio width are process-wide solver configuration,
-	// so they are daemon-startup knobs, never per-request ones.
+	// The strategy is process-wide solver configuration, so it is a
+	// daemon-startup knob, never a per-request one.
 	st, ok := target.ParseStrategy(*strategy)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "muppetd: bad -strategy %q (want auto|linear|binary)\n", *strategy)
 		return server.CodeUsage
 	}
 	target.SetDefaultStrategy(st)
-	muppet.SetPortfolioWorkers(*portfolio)
-
-	router := tenant.DefaultRouter()
-	if *routerPath != "" {
-		var err error
-		if router, err = tenant.LoadRouter(*routerPath); err != nil {
-			fmt.Fprintln(os.Stderr, "muppetd:", err)
-			return server.CodeInternal
-		}
-	}
 
 	// Populate the registry: the -files bundle (if any) is the static
 	// "default" tenant; -tenant-dir tenants are discovered and kept in
@@ -186,7 +172,6 @@ func run(argv []string, ready func(addr string)) int {
 		Concurrency:      *concurrency,
 		QueueDepth:       *queueDepth,
 		MaxTimeout:       *maxTimeout,
-		Router:           router,
 		FedParty:         *fedParty,
 		WatchPollTimeout: *watchPoll,
 		WatchMaxEvents:   *watchMaxEvents,

@@ -93,8 +93,13 @@ func TestBadInvocations(t *testing.T) {
 	if code := run([]string{"-tenant-dir", t.TempDir()}, nil); code != server.CodeInternal {
 		t.Fatalf("empty tenant dir: exit %d, want %d", code, server.CodeInternal)
 	}
-	if code := run(fig1Args("-router", "does-not-exist.yaml"), nil); code != server.CodeInternal {
-		t.Fatalf("bad router: exit %d, want %d", code, server.CodeInternal)
+	// muppetd has no -portfolio or -router flag: both must fail as
+	// unknown flags rather than be accepted and ignored.
+	if code := run(fig1Args("-portfolio", "2"), nil); code != server.CodeUsage {
+		t.Fatalf("-portfolio: exit %d, want %d", code, server.CodeUsage)
+	}
+	if code := run(fig1Args("-router", "r.yaml"), nil); code != server.CodeUsage {
+		t.Fatalf("-router: exit %d, want %d", code, server.CodeUsage)
 	}
 	if code := run(fig1Args("-addr", "host.invalid:0"), nil); code != server.CodeInternal {
 		t.Fatalf("unbindable address: exit %d, want %d", code, server.CodeInternal)

@@ -79,13 +79,10 @@ type EncodingStats struct {
 	// the measured counterpart of the ApproxBytes estimate.
 	ArenaBytes int64
 	// Search-core counters, accumulated across each session's lifetime:
-	// chronological backtracks taken instead of long backjumps, conflict
-	// clauses deleted by on-the-fly subsumption, inprocessing passes run,
-	// and clauses shortened by vivification.
+	// chronological backtracks taken instead of long backjumps, and
+	// conflict clauses deleted by on-the-fly subsumption.
 	ChronoBacktracks int64
 	OTFSubsumed      int64
-	InprocessRuns    int64
-	Vivified         int64
 }
 
 // Approximate per-object sizes of the live solving structures, in bytes.
@@ -116,8 +113,6 @@ func (e *EncodingStats) add(t EncodingStats) {
 	e.ArenaBytes += t.ArenaBytes
 	e.ChronoBacktracks += t.ChronoBacktracks
 	e.OTFSubsumed += t.OTFSubsumed
-	e.InprocessRuns += t.InprocessRuns
-	e.Vivified += t.Vivified
 }
 
 // sessionEncodingStats snapshots one live session's encoding sizes.
@@ -135,8 +130,6 @@ func sessionEncodingStats(ss *relational.Session) EncodingStats {
 		ArenaBytes:       s.ArenaBytes(),
 		ChronoBacktracks: s.Stats.ChronoBacktracks,
 		OTFSubsumed:      s.Stats.OTFSubsumed,
-		InprocessRuns:    s.Stats.InprocessRuns,
-		Vivified:         s.Stats.Vivified,
 	}
 }
 
@@ -167,21 +160,6 @@ func (c *SolveCache) Stats() ReuseStats {
 		st.Encoding.add(sessionEncodingStats(ws.ss))
 	}
 	return st
-}
-
-// Workers returns the per-worker stats of the most recent portfolio solve
-// performed through this cache, nil when the last solve was sequential.
-func (c *SolveCache) Workers() []sat.WorkerStats {
-	if c == nil {
-		return nil
-	}
-	var latest []sat.WorkerStats
-	for _, ws := range c.entries {
-		if ws.lastWorkers != nil {
-			latest = ws.lastWorkers
-		}
-	}
-	return latest
 }
 
 // specsKey identifies a workspace shape: each participant's name, role,

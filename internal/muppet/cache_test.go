@@ -157,61 +157,6 @@ func TestSolveCacheConformanceAndNegotiation(t *testing.T) {
 	}
 }
 
-// TestPortfolioWorkflowDeterminism compares every workflow observable with
-// the portfolio enabled against sequential solving: identical verdicts and
-// identical blame cores. (Core minimisation itself always runs
-// sequentially on the primary solver, which is what makes exact core
-// agreement a fair expectation.)
-func TestPortfolioWorkflowDeterminism(t *testing.T) {
-	f := loadFixture(t)
-
-	run := func() (*Result, *Result) {
-		k8sParty, istioParty := mkPartyPair(t, f, false)
-		ok := Reconcile(f.sys, []*Party{k8sParty, istioParty})
-		k8sParty, istioParty = mkPartyPair(t, f, true)
-		bad := Reconcile(f.sys, []*Party{k8sParty, istioParty})
-		return ok, bad
-	}
-
-	seqOK, seqBad := run()
-	prev := SetPortfolioWorkers(3)
-	defer SetPortfolioWorkers(prev)
-	parOK, parBad := run()
-
-	if seqOK.OK != parOK.OK || !parOK.OK {
-		t.Fatalf("sat case: sequential %v, portfolio %v", seqOK.OK, parOK.OK)
-	}
-	if len(seqOK.Edits) != len(parOK.Edits) {
-		t.Fatalf("edit distance: sequential %d, portfolio %d", len(seqOK.Edits), len(parOK.Edits))
-	}
-	if seqBad.OK || parBad.OK {
-		t.Fatal("unsat case must fail under both modes")
-	}
-	if a, b := sortedCore(seqBad), sortedCore(parBad); !sameStringSlices(a, b) {
-		t.Fatalf("cores differ: sequential %v, portfolio %v", a, b)
-	}
-}
-
-// TestPortfolioNegotiationDeterminism runs the full Fig. 9 negotiation
-// with and without the portfolio and compares the outcome shape.
-func TestPortfolioNegotiationDeterminism(t *testing.T) {
-	f := loadFixture(t)
-	run := func() *NegotiationOutcome {
-		k8sParty, istioParty := mkPartyPair(t, f, false)
-		return NewNegotiation(f.sys, k8sParty, istioParty).Run()
-	}
-	seq := run()
-	prev := SetPortfolioWorkers(4)
-	defer SetPortfolioWorkers(prev)
-	par := run()
-	if seq.Reconciled != par.Reconciled || !par.Reconciled {
-		t.Fatalf("sequential %v, portfolio %v", seq.Reconciled, par.Reconciled)
-	}
-	if seq.Reason != par.Reason {
-		t.Fatalf("terminal reason: sequential %v, portfolio %v", seq.Reason, par.Reason)
-	}
-}
-
 // TestSolveCacheBoundedEviction pins the bounded-cache surface a serving
 // process budgets by: Len and ApproxBytes track live sessions, Evict
 // drops least-recently-used sessions first, a rebuilt shape answers

@@ -12,14 +12,9 @@ import (
 // TestConcurrentQueries hammers one shared encode.System from many
 // goroutines, each owning its parties and SolveCache — the concurrency
 // contract documented on encode.System, enforced by `go test -race`.
-// Half the workers solve with a portfolio, so clone/replay racing and the
-// atomic portfolio width are exercised under the race detector too.
 func TestConcurrentQueries(t *testing.T) {
 	f := loadFixture(t)
 	const workers, queriesPer = 8, 4
-
-	prev := SetPortfolioWorkers(0)
-	defer SetPortfolioWorkers(prev)
 
 	err := FanOut(context.Background(), workers, workers, func(ctx context.Context, w int) error {
 		// Build this worker's own parties inline: t.Fatal must not be
@@ -34,10 +29,6 @@ func TestConcurrentQueries(t *testing.T) {
 		}
 		cache := NewSolveCache()
 		for q := 0; q < queriesPer; q++ {
-			if w%2 == 0 {
-				// Even workers race a small portfolio inside each solve.
-				SetPortfolioWorkers(2)
-			}
 			switch q % 3 {
 			case 0:
 				res := cache.LocalConsistencyCtx(ctx, f.sys, k8sParty, []*Party{istioParty}, sat.Budget{})

@@ -6,16 +6,50 @@ import (
 )
 
 // aggressiveOpts makes every hot path of the arena core fire on tiny
-// problems: restarts every conflict, inprocessing on every tick, a learnt
-// cap small enough to force frequent reduceDB passes, and no preprocessing
-// floor so BVE runs even on a handful of clauses.
+// problems: restarts every conflict, a learnt cap small enough to force
+// frequent reduceDB passes (and with them arena compactions), and no
+// preprocessing floor so BVE runs even on a handful of clauses.
 func aggressiveOpts() Options {
 	return Options{
-		RestartBase:       1,
-		InprocessInterval: 1,
-		LearntCap:         5,
-		SimpMinClauses:    -1,
+		SimpMinClauses: -1,
+		restartBase:    1,
+		learntCap:      5,
 	}
+}
+
+// random3SAT draws nClauses clauses of exactly three distinct variables.
+func random3SAT(rng *rand.Rand, nVars, nClauses int) [][]Lit {
+	clauses := make([][]Lit, nClauses)
+	for i := range clauses {
+		vs := rng.Perm(nVars)[:3]
+		c := make([]Lit, 3)
+		for j, v := range vs {
+			c[j] = MkLit(Var(v), rng.Intn(2) == 0)
+		}
+		clauses[i] = c
+	}
+	return clauses
+}
+
+// TestAggressiveOptsFireSearchCore pins what FuzzDifferentialCDCL's
+// configuration reaches: on a random 3-SAT instance at the hard clause
+// ratio (4.26), aggressiveOpts must actually restart, delete learnt
+// clauses in reduceDB, and compact the arena. Without this, moving or
+// dropping an option could quietly shrink the fuzz oracle's coverage.
+func TestAggressiveOptsFireSearchCore(t *testing.T) {
+	const nVars = 150
+	rng := rand.New(rand.NewSource(1))
+	clauses := random3SAT(rng, nVars, nVars*426/100)
+	s := newSolverWith(nVars, clauses, aggressiveOpts())
+	st := s.Solve()
+	if st == Sat && !modelSatisfies(s.Model(), clauses) {
+		t.Fatal("model does not satisfy the instance")
+	}
+	if s.Stats.Restarts == 0 || s.Stats.Removed == 0 || s.Stats.ArenaGCs == 0 {
+		t.Fatalf("aggressive options left a search path cold: %v, restarts=%d removed=%d arena GCs=%d",
+			st, s.Stats.Restarts, s.Stats.Removed, s.Stats.ArenaGCs)
+	}
+	t.Logf("%v: restarts=%d removed=%d arena GCs=%d", st, s.Stats.Restarts, s.Stats.Removed, s.Stats.ArenaGCs)
 }
 
 // decodeCNF turns fuzz bytes into a CNF: the first byte picks the variable
@@ -50,8 +84,8 @@ func decodeCNF(data []byte) (int, [][]Lit) {
 }
 
 // FuzzDifferentialCDCL cross-checks the full arena CDCL core — learning,
-// chronological backtracking, reduceDB with arena GC, scheduled
-// inprocessing — against the chronological-backtracking DPLL reference
+// chronological backtracking, restarts, reduceDB with arena GC,
+// preprocessing — against the chronological-backtracking DPLL reference
 // (DisableLearning), which shares only the propagation engine. Verdicts
 // must agree, and every SAT model must actually satisfy the input.
 func FuzzDifferentialCDCL(f *testing.F) {
@@ -185,11 +219,11 @@ func TestReduceDBCompactsArena(t *testing.T) {
 	}
 }
 
-// TestInprocessingWithAssumptions solves the same instance repeatedly
-// under different assumption sets on one warm solver, with inprocessing on
-// every tick — vivification and in-search BVE must respect frozen
+// TestWarmSolverAssumptions solves the same instance repeatedly under
+// different assumption sets on one warm solver with the aggressive
+// options — restarts, reduceDB and preprocessing must respect frozen
 // assumption variables and keep incremental verdicts exact.
-func TestInprocessingWithAssumptions(t *testing.T) {
+func TestWarmSolverAssumptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 15; round++ {
 		nVars := 8 + rng.Intn(4)

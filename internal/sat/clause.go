@@ -30,13 +30,12 @@ const (
 	claFlagReloced = 4
 	claFlagUsed    = 8 // learnt clause used in conflict analysis since the last reduceDB
 	claFlagBits    = 4 // size is stored shifted past the flags
-	claFlagMask    = 1<<claFlagBits - 1
 )
 
 // clauseDB is the arena. The zero value is an empty database.
 type clauseDB struct {
 	data   []Lit // headers and literals interleaved; Lit is int32
-	wasted int   // words held by deleted clauses and shrunk tails
+	wasted int   // words held by deleted clauses
 }
 
 // alloc appends a clause and returns its reference. The literals are
@@ -75,17 +74,6 @@ func (db *clauseDB) delete(c cref) {
 	}
 	db.data[c] |= claFlagDeleted
 	db.wasted += claHdrWords + db.size(c)
-}
-
-// shrink truncates the clause to its first n literals in place (used by
-// strengthening passes); the dropped tail becomes wasted words.
-func (db *clauseDB) shrink(c cref, n int) {
-	old := db.size(c)
-	if n >= old {
-		return
-	}
-	db.wasted += old - n
-	db.data[c] = Lit(n<<claFlagBits) | db.data[c]&claFlagMask
 }
 
 // used/markUsed/clearUsed manage the "touched since the last reduction"

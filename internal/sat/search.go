@@ -454,18 +454,15 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 	if s.maxLearnts < 1000 {
 		s.maxLearnts = 1000
 	}
-	if s.opts.LearntCap > 0 {
-		s.maxLearnts = float64(s.opts.LearntCap)
-	}
-	if s.nextInprocess == 0 {
-		s.nextInprocess = s.Stats.Conflicts + s.inprocessInterval()
+	if s.opts.learntCap > 0 {
+		s.maxLearnts = float64(s.opts.learntCap)
 	}
 
 	var restart int64 = 1
 	for {
 		budget := int64(-1)
 		if !s.opts.DisableRestarts {
-			budget = luby(s.opts.restartBase(), restart)
+			budget = luby(s.opts.lubyUnit(), restart)
 		}
 		st := s.search(budget)
 		switch st {
@@ -486,15 +483,8 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		}
 		s.Stats.Restarts++
 		restart++
-		if s.opts.LearntCap <= 0 {
+		if s.opts.learntCap <= 0 {
 			s.maxLearnts *= s.learntGrowth
-		}
-		// Between restarts the trail is at the assumption level (0) — the
-		// one place mid-search where inprocessing is safe to run.
-		s.maybeInprocess()
-		if s.unsatLevel0 {
-			s.conflict = s.conflict[:0]
-			return Unsat
 		}
 	}
 }

@@ -232,8 +232,6 @@ func (s *Solver) runSimplify() {
 	s.ca = newCA
 	s.clauses = newCls
 	s.learnts = newLrn
-	s.vivifyHead = 0 // the rolling vivification cursors index the lists
-	s.vivifyLearntHead = 0
 
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]

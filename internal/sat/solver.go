@@ -31,89 +31,70 @@ func (s Status) String() string {
 	}
 }
 
-// Options tune solver behaviour. The zero value is the recommended default
-// configuration; the toggles exist for the ablation benchmarks.
+// Options tune solver behaviour. The zero value is the configuration every
+// production caller runs, apart from the preprocessing fields the muppet
+// workspaces set; the other switches exist for the ablation benchmarks
+// and the package's differential tests.
 type Options struct {
 	// DisableLearning turns the solver into chronological-backtracking DPLL:
-	// conflicts still backtrack, but no learnt clauses are retained.
+	// conflicts still backtrack, but no learnt clauses are retained. Used
+	// by BenchmarkAblationNoLearning and as the reference solver of
+	// FuzzDifferentialCDCL.
 	DisableLearning bool
 	// NaivePropagation replaces two-watched-literal propagation with full
-	// occurrence-list clause scans.
+	// occurrence-list clause scans. Used by
+	// BenchmarkAblationNaivePropagation.
 	NaivePropagation bool
-	// DisablePhaseSaving makes decisions always try the negative phase first.
+	// DisablePhaseSaving makes decisions always try the negative phase
+	// first. Used only by the package's option-matrix tests.
 	DisablePhaseSaving bool
-	// DisableRestarts switches Luby restarts off.
+	// DisableRestarts switches Luby restarts off. Used by
+	// BenchmarkAblationNoRestarts.
 	DisableRestarts bool
 	// MaxConflicts, when positive, bounds the cumulative conflict count
 	// across the solver's lifetime; exceeding it makes Solve return Unknown
 	// with StopReason() == StopConflicts. Prefer the per-call
-	// Budget.MaxConflicts of SolveCtx for new code.
+	// Budget.MaxConflicts of SolveCtx, which every workflow caller uses;
+	// only the package's own tests set this field.
 	MaxConflicts int64
-	// RestartBase, when positive, replaces the default Luby restart unit
-	// (100 conflicts). Small values restart aggressively, large values let
-	// each search run long — the main diversification axis for portfolios.
-	RestartBase int64
-	// PhaseSeed, when non-zero, seeds deterministic per-variable jitter:
-	// initial decision polarity and a tiny initial activity perturbation
-	// that reorders ties in the decision heap. Two solvers over the same
-	// clauses with different seeds explore different parts of the space.
-	PhaseSeed uint64
-	// LearntCap, when positive, pins the learnt-clause database limit to a
-	// fixed size instead of the default third-of-problem-clauses with
-	// geometric growth. Small caps keep the solver lean (frequent
-	// reduceDB), another portfolio diversification axis.
-	LearntCap int
 	// DisableSimp turns off SatELite-style preprocessing (subsumption,
 	// self-subsuming resolution, bounded variable elimination) of the
 	// clause database before search. Preprocessing is on by default;
 	// callers that read variables from models or use literals as
-	// assumptions/selectors must Freeze them (see Solver.Freeze).
+	// assumptions/selectors must Freeze them (see Solver.Freeze). Set by
+	// the muppet workspaces under the no-simp encoding config.
 	DisableSimp bool
 	// SimpMinClauses is the live problem-clause count below which
 	// preprocessing is deferred: on small databases the solve is cheaper
 	// than the preprocessing pass, so simplification waits until the
 	// database grows past the floor. 0 means the default floor
-	// (simpDefaultMinClauses); negative means no floor.
+	// (simpDefaultMinClauses); negative means no floor. One-shot muppet
+	// workspaces and the encoding benchmarks set -1.
 	SimpMinClauses int
 	// DisableChrono turns off chronological backtracking: every conflict
 	// backjumps all the way to the learnt clause's assertion level, even
 	// when that discards hundreds of levels of still-useful trail. With
 	// chrono on (the default), backjumps longer than chronoThreshold
 	// levels backtrack a single level instead and assert the learnt
-	// literal there, preserving the trail prefix.
+	// literal there, preserving the trail prefix. No caller sets it; it
+	// is the off switch for a chrono A/B.
 	DisableChrono bool
-	// DisableInprocess turns off scheduled inprocessing: the periodic
-	// clause vivification and bounded-variable-elimination passes run
-	// between restarts (see inprocess.go).
-	DisableInprocess bool
-	// InprocessInterval, when positive, overrides how many conflicts pass
-	// between inprocessing ticks (default inprocessDefaultInterval).
-	InprocessInterval int64
-	// VivifyPropBudget, when positive, overrides the unit-propagation
-	// budget of one vivification round (default vivifyPropBudget); -1
-	// disables vivification. Exposed for the inprocessing budget sweeps
-	// recorded in EXPERIMENTS.md.
-	VivifyPropBudget int64
-	// BVETickPeriod, when positive, overrides how many inprocessing ticks
-	// pass between full preprocessor re-runs (default bveTickPeriod).
-	BVETickPeriod int64
+
+	// restartBase, when positive, replaces the default Luby restart unit
+	// (100 conflicts), and learntCap, when positive, pins the learnt-clause
+	// database limit instead of the default third-of-problem-clauses with
+	// geometric growth. Only the package's tests set them, to force
+	// restarts and reduceDB passes on tiny problems.
+	restartBase int64
+	learntCap   int
 }
 
-// restartBase returns the Luby restart unit in conflicts.
-func (o Options) restartBase() int64 {
-	if o.RestartBase > 0 {
-		return o.RestartBase
+// lubyUnit returns the Luby restart unit in conflicts.
+func (o Options) lubyUnit() int64 {
+	if o.restartBase > 0 {
+		return o.restartBase
 	}
 	return 100
-}
-
-// splitmix64 is the SplitMix64 mixing function — a cheap, deterministic
-// uint64→uint64 hash used for seeded polarity/activity jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Solver is an incremental CDCL SAT solver. Create one with New, introduce
@@ -182,12 +163,6 @@ type Solver struct {
 	simpRan       bool
 	simpWatermark int // problem clause count right after the last run
 
-	// Inprocessing schedule (see inprocess.go).
-	nextInprocess    int64 // Stats.Conflicts threshold of the next tick
-	inprocessTicks   int64 // ticks run, to interleave BVE every few ticks
-	vivifyHead       int   // rolling cursor into clauses
-	vivifyLearntHead int   // rolling cursor into learnts
-
 	// Stats accumulates counters across Solve calls.
 	Stats Stats
 }
@@ -213,13 +188,9 @@ type Stats struct {
 
 	// Search-core counters: chronological backtracks taken instead of long
 	// backjumps, conflict clauses deleted because the learnt clause
-	// subsumed them on the fly, inprocessing passes run, clauses shortened
-	// by vivification (and the literals they lost), and arena compactions.
+	// subsumed them on the fly, and arena compactions.
 	ChronoBacktracks int64
 	OTFSubsumed      int64
-	InprocessRuns    int64
-	Vivified         int64
-	VivifyLits       int64
 	ArenaGCs         int64
 }
 
@@ -257,20 +228,11 @@ func (s *Solver) ArenaBytes() int64 { return s.ca.bytes() }
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
-	phase := true // default phase: false branch first
-	activity := 0.0
-	if s.opts.PhaseSeed != 0 {
-		h := splitmix64(s.opts.PhaseSeed + uint64(v))
-		phase = h&1 == 0
-		// Sub-1e-3 jitter: far below any bumped activity, so it only
-		// breaks ties among never-bumped variables.
-		activity = float64(h>>40) * (1.0 / (1 << 34))
-	}
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
-	s.activity = append(s.activity, activity)
-	s.polarity = append(s.polarity, phase)
+	s.activity = append(s.activity, 0)
+	s.polarity = append(s.polarity, true) // default phase: false branch first
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
 	if s.opts.NaivePropagation {
@@ -498,19 +460,6 @@ func (s *Solver) attach(c cref) {
 // the arena words are reclaimed by the next garbage collection.
 func (s *Solver) detach(c cref) { s.ca.delete(c) }
 
-// removeWatch eagerly deletes c from l's watch list (vivification needs
-// the clause fully detached while it probes, not lazily flagged).
-func (s *Solver) removeWatch(l Lit, c cref) {
-	ws := s.watches[l]
-	for i := range ws {
-		if ws[i].clause() == c {
-			ws[i] = ws[len(ws)-1]
-			s.watches[l] = ws[:len(ws)-1]
-			return
-		}
-	}
-}
-
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
@@ -603,8 +552,8 @@ func (s *Solver) maybeGC() {
 // reason column, and the watch lists (purging watchers of dead clauses on
 // the way). Each moved clause leaves a forwarding address in its old
 // header, so a clause reachable from several places is copied once.
-// Offsets change but list order does not, which is what keeps replay
-// (CloneWithOptions) and the deterministic-output guarantees stable.
+// Offsets change but list order does not, which is what keeps the
+// deterministic-output guarantees stable.
 func (s *Solver) garbageCollect() {
 	old := s.ca
 	to := clauseDB{data: make([]Lit, 0, len(old.data)-old.wasted)}

@@ -31,7 +31,6 @@ type PoolInfo struct {
 // the smoke test) reads to see who is loaded at which revision and where
 // the cache budget is going.
 type TenantsReply struct {
-	Router           string       `json:"router"`
 	CacheBudgetBytes int64        `json:"cache_budget_bytes"`
 	CacheIdleBytes   int64        `json:"cache_idle_bytes"`
 	CacheEvictions   int64        `json:"cache_evictions"`
@@ -53,7 +52,6 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	}
 	ledger := s.registry.Ledger()
 	reply := TenantsReply{
-		Router:           s.router.Source(),
 		CacheBudgetBytes: ledger.Budget(),
 		CacheIdleBytes:   ledger.TotalBytes(),
 		CacheEvictions:   ledger.Evictions(),

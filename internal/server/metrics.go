@@ -13,7 +13,7 @@ import (
 
 // latencyBuckets are the histogram upper bounds in seconds, chosen for a
 // workload spanning sub-millisecond warm cache hits to multi-second cold
-// portfolio solves.
+// solves.
 var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // histogram is a fixed-bucket latency histogram in Prometheus's
@@ -47,7 +47,6 @@ type metrics struct {
 	requests   map[string]map[int]int64            // op → verdict code → count
 	latency    map[string]*histogram               // op → seconds histogram
 	tenants    map[string]map[string]map[int]int64 // tenant → op → code → count
-	attempts   map[string]*poolAttempts            // solver pool → attempt counters
 	rejections int64
 	drops      int64 // admitted jobs abandoned before a worker picked them up
 	panics     int64 // worker panics caught by the recovery middleware
@@ -58,20 +57,11 @@ type metrics struct {
 	fedBreakers map[string]int64 // peer → breaker state (0 closed, 1 half-open, 2 open)
 }
 
-// poolAttempts counts one named solver pool's leaf executions by outcome.
-type poolAttempts struct {
-	kind       string
-	decisive   int64
-	indecisive int64
-	errors     int64
-}
-
 func newMetrics() *metrics {
 	return &metrics{
 		requests:    make(map[string]map[int]int64),
 		latency:     make(map[string]*histogram),
 		tenants:     make(map[string]map[string]map[int]int64),
-		attempts:    make(map[string]*poolAttempts),
 		fedRounds:   make(map[string]int64),
 		fedRetries:  make(map[string]int64),
 		fedBreakers: make(map[string]int64),
@@ -102,25 +92,6 @@ func (m *metrics) observe(tenantID, op string, code int, seconds float64) {
 		m.latency[op] = h
 	}
 	h.observe(seconds)
-}
-
-// attempt records one routed leaf execution.
-func (m *metrics) attempt(pool, kind string, decisive, errored bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pa := m.attempts[pool]
-	if pa == nil {
-		pa = &poolAttempts{kind: kind}
-		m.attempts[pool] = pa
-	}
-	switch {
-	case errored:
-		pa.errors++
-	case decisive:
-		pa.decisive++
-	default:
-		pa.indecisive++
-	}
 }
 
 func (m *metrics) reject() {
@@ -171,7 +142,6 @@ func (m *metrics) fedBreaker(peer string, st feder.BreakerState) {
 type scrape struct {
 	queueDepth, queueCap, workers int
 	reuse                         muppet.ReuseStats
-	portfolio                     []muppet.WorkerStats
 	tenants                       []tenantScrape
 	budgetBytes                   int64
 	idleBytes                     int64
@@ -193,7 +163,7 @@ type tenantScrape struct {
 // the daemon dependency-free.
 func (m *metrics) write(w io.Writer, sc scrape) {
 	queueDepth, queueCap, workers := sc.queueDepth, sc.queueCap, sc.workers
-	reuse, portfolio := sc.reuse, sc.portfolio
+	reuse := sc.reuse
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -324,26 +294,9 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	fmt.Fprintln(w, "# TYPE muppetd_solver_otf_subsumed_total counter")
 	fmt.Fprintf(w, "muppetd_solver_otf_subsumed_total %d\n", reuse.Encoding.OTFSubsumed)
 
-	fmt.Fprintln(w, "# HELP muppetd_solver_inprocess_runs_total Scheduled inprocessing passes (vivification and in-search BVE), across live sessions.")
-	fmt.Fprintln(w, "# TYPE muppetd_solver_inprocess_runs_total counter")
-	fmt.Fprintf(w, "muppetd_solver_inprocess_runs_total %d\n", reuse.Encoding.InprocessRuns)
-
-	fmt.Fprintln(w, "# HELP muppetd_solver_vivified_total Clauses shortened or deleted by vivification, across live sessions.")
-	fmt.Fprintln(w, "# TYPE muppetd_solver_vivified_total counter")
-	fmt.Fprintf(w, "muppetd_solver_vivified_total %d\n", reuse.Encoding.Vivified)
-
 	fmt.Fprintln(w, "# HELP muppetd_solver_restored_total Variables un-eliminated because an incremental addition touched them, across live sessions.")
 	fmt.Fprintln(w, "# TYPE muppetd_solver_restored_total counter")
 	fmt.Fprintf(w, "muppetd_solver_restored_total %d\n", reuse.Encoding.Restored)
-
-	if len(portfolio) > 0 {
-		fmt.Fprintln(w, "# HELP muppetd_portfolio_worker_conflicts Conflicts per portfolio worker in the most recent portfolio solve.")
-		fmt.Fprintln(w, "# TYPE muppetd_portfolio_worker_conflicts gauge")
-		for _, pw := range portfolio {
-			fmt.Fprintf(w, "muppetd_portfolio_worker_conflicts{worker=%q,winner=\"%t\"} %d\n",
-				pw.Name, pw.Winner, pw.Stats.Conflicts)
-		}
-	}
 
 	fmt.Fprintln(w, "# HELP muppetd_tenants Tenants currently registered.")
 	fmt.Fprintln(w, "# TYPE muppetd_tenants gauge")
@@ -427,23 +380,6 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	fmt.Fprintln(w, "# HELP muppetd_watch_events_total Watch events published (baselines, revision updates, terminals).")
 	fmt.Fprintln(w, "# TYPE muppetd_watch_events_total counter")
 	fmt.Fprintf(w, "muppetd_watch_events_total %d\n", sc.watchEvents)
-
-	if len(m.attempts) > 0 {
-		fmt.Fprintln(w, "# HELP muppetd_pool_attempts_total Routed solver-pool leaf executions, by pool and outcome.")
-		fmt.Fprintln(w, "# TYPE muppetd_pool_attempts_total counter")
-		for _, name := range sortedKeys(m.attempts) {
-			pa := m.attempts[name]
-			for _, oc := range []struct {
-				outcome string
-				n       int64
-			}{{"decisive", pa.decisive}, {"indecisive", pa.indecisive}, {"error", pa.errors}} {
-				if oc.n > 0 {
-					fmt.Fprintf(w, "muppetd_pool_attempts_total{pool=%q,kind=%q,outcome=%q} %d\n",
-						name, pa.kind, oc.outcome, oc.n)
-				}
-			}
-		}
-	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

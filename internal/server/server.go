@@ -38,9 +38,6 @@ type Options struct {
 	// tenants (0 = unlimited); see tenant.Ledger. Only read by New —
 	// NewMulti callers size the ledger themselves.
 	CacheBudgetBytes int64
-	// Router maps workflow methods to solver pools (nil = every method on
-	// one warm-cache pool, the pre-routing behaviour).
-	Router *tenant.Router
 	// FedParty, when "k8s" or "istio", mounts the federated negotiation
 	// peer protocol under /fed/, serving that side of the default
 	// tenant's bundle to a remote coordinator ("" = not a peer).
@@ -67,7 +64,6 @@ type Options struct {
 // without touching its neighbours.
 type Server struct {
 	registry *tenant.Registry[*State]
-	router   *tenant.Router
 	opts     Options
 	pool     *pool
 	metrics  *metrics
@@ -105,12 +101,8 @@ func NewMulti(reg *tenant.Registry[*State], opts Options) *Server {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 2 * opts.Concurrency
 	}
-	if opts.Router == nil {
-		opts.Router = tenant.DefaultRouter()
-	}
 	s := &Server{
 		registry: reg,
-		router:   opts.Router,
 		opts:     opts,
 		metrics:  newMetrics(),
 		draining: make(chan struct{}),
@@ -225,13 +217,13 @@ func (s *Server) Draining() bool {
 	}
 }
 
-// runJob executes one dequeued job through the solver-pool router. The
-// deadline clock starts here — queue wait does not consume solve budget —
-// and the solve context is the request context merged with the
-// server-wide cancel, so either a vanished client or a drain hammer
-// stops it. The job's tenant entry was captured at admission: a hot
-// reload between admission and here means this request completes on the
-// revision it was admitted against.
+// runJob executes one dequeued job on a warm cache checked out of its
+// tenant's pool. The deadline clock starts here — queue wait does not
+// consume solve budget — and the solve context is the request context
+// merged with the server-wide cancel, so either a vanished client or a
+// drain hammer stops it. The job's tenant entry was captured at
+// admission: a hot reload between admission and here means this request
+// completes on the revision it was admitted against.
 func (s *Server) runJob(ctx context.Context, w int, j *job) (resp Response, err error) {
 	// A solver panic must kill the request, not the worker: recover into a
 	// typed error the HTTP layer renders as a structured 500.
@@ -255,30 +247,15 @@ func (s *Server) runJob(ctx context.Context, w int, j *job) (resp Response, err 
 		defer cancelDL()
 	}
 
-	plan := s.router.PlanFor(j.req.Op)
-	resp, attempts, err := tenant.RunPlan(ctx, plan,
-		func(ctx context.Context, leaf tenant.Leaf) (Response, error) {
-			// The leaf context carries the tightest of the request deadline
-			// and the routing plan's per-pool timeouts; the solver budget
-			// must match it so the solver stops when the context does.
-			b := muppet.Budget{MaxConflicts: j.maxConflicts}
-			if dl, ok := ctx.Deadline(); ok {
-				b.Deadline = dl
-			}
-			if leaf.Kind == tenant.PoolWarm {
-				c := j.ent.Pool.Checkout()
-				defer j.ent.Pool.Checkin(c)
-				return s.execFn(ctx, j.ent.State, c, j.req, b)
-			}
-			// Fresh pool: nil cache means one-shot workspaces, exactly the
-			// cold CLI path.
-			return s.execFn(ctx, j.ent.State, nil, j.req, b)
-		},
-		func(r Response) bool { return r.Code != CodeIndeterminate })
-	for _, at := range attempts {
-		s.metrics.attempt(at.Pool, string(at.Kind), at.Decisive, at.Err != nil)
+	// The solver budget carries the context's deadline so the solver
+	// stops when the context does.
+	b := muppet.Budget{MaxConflicts: j.maxConflicts}
+	if dl, ok := ctx.Deadline(); ok {
+		b.Deadline = dl
 	}
-	return resp, err
+	c := j.ent.Pool.Checkout()
+	defer j.ent.Pool.Checkin(c)
+	return s.execFn(ctx, j.ent.State, c, j.req, b)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -319,9 +296,6 @@ func (s *Server) scrape() scrape {
 			ID: ent.ID, Revision: ent.Revision, Reloads: s.registry.Reloads(ent.ID), Pool: ps,
 		})
 		sc.reuse.Add(ps.Reuse)
-		if ps.Workers != nil {
-			sc.portfolio = ps.Workers
-		}
 	}
 	return sc
 }

@@ -189,9 +189,6 @@ func TestTenantsAdminSurface(t *testing.T) {
 			t.Fatalf("tenant %s: %+v", ti.ID, ti)
 		}
 	}
-	if reply.Router != "builtin:warm" {
-		t.Fatalf("router = %q", reply.Router)
-	}
 
 	reload := func(id, query string) (*http.Response, ReloadReply) {
 		t.Helper()
@@ -357,86 +354,5 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	ent, _ := s.Registry().Get("acme")
 	if ent.Revision != 2 {
 		t.Fatalf("revision = %d, want 2", ent.Revision)
-	}
-}
-
-// TestRouterVerdictEquivalence asserts the composable-routing guarantee:
-// a parallel race of warm and fresh pools and a sequential fallback
-// chain return byte-identical verdicts to the plain single-pool server —
-// racing is a latency strategy, never a semantics change.
-func TestRouterVerdictEquivalence(t *testing.T) {
-	st := fig1State(t)
-	reqs := []Request{
-		{Op: "check", Party: "k8s"},
-		{Op: "reconcile"},
-	}
-	want := map[string]Response{}
-	for _, req := range reqs {
-		want[req.Op] = execDirect(t, st, req)
-	}
-
-	routers := map[string]string{
-		"parallel": `pools:
-  warm-cache:
-    type: warm
-  fresh-portfolio:
-    type: fresh
-  race:
-    type: parallel
-    pools: [warm-cache, fresh-portfolio]
-methods:
-  default: race
-`,
-		"sequential": `pools:
-  warm-cache:
-    type: warm
-  fresh-portfolio:
-    type: fresh
-  fallback:
-    type: sequential
-    pools: [fresh-portfolio, warm-cache]
-methods:
-  default: fallback
-`,
-		"single": "pools:\n  warm-cache:\n    type: warm\n",
-	}
-	for name, yaml := range routers {
-		t.Run(name, func(t *testing.T) {
-			cfg, err := tenant.ParseRouterConfig([]byte(yaml))
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := tenant.NewRouter(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := New(st, Options{Concurrency: 2, QueueDepth: 8, Router: r})
-			defer s.Close()
-			hs := httptest.NewServer(s)
-			defer hs.Close()
-			for round := 0; round < 2; round++ { // round 2 hits warm sessions
-				for _, req := range reqs {
-					res, got := postOp(t, hs.Client(), hs.URL, req, nil)
-					if res.StatusCode != http.StatusOK {
-						t.Fatalf("%s: HTTP %d", req.Op, res.StatusCode)
-					}
-					w := want[req.Op]
-					if got.Code != w.Code || got.Output != w.Output {
-						t.Fatalf("%s via %s router differs from single-pool reference\n--- got ---\n%s\n--- want ---\n%s",
-							req.Op, name, got.Output, w.Output)
-					}
-				}
-			}
-			// The attempt counters must show the routed pools actually ran.
-			mres, err := hs.Client().Get(hs.URL + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mres.Body.Close()
-			body, _ := io.ReadAll(mres.Body)
-			if !strings.Contains(string(body), "muppetd_pool_attempts_total") {
-				t.Error("/metrics missing pool attempt counters")
-			}
-		})
 	}
 }

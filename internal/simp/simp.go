@@ -18,7 +18,8 @@
 // indexed by (offset, length) clause headers, clauses are referenced by
 // index, and occurrence lists hold indices — a Run makes O(1) allocations
 // per pass instead of two per clause, which matters because preprocessing
-// runs on every cold reconcile and again during solver inprocessing.
+// runs on every cold reconcile and again whenever a warm session's clause
+// database has grown enough.
 //
 // The package is deliberately below package sat in the import graph (sat
 // drives it before search), so it defines its own literal type with the

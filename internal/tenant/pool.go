@@ -1,5 +1,5 @@
 // Package tenant turns the single-bundle mediation daemon into a
-// multi-tenant one. It provides three composable pieces:
+// multi-tenant one. It provides two pieces:
 //
 //   - a Registry mapping tenant ID → an immutable revision of serving
 //     state, with atomic hot reload (load → validate → swap; the old
@@ -7,12 +7,7 @@
 //   - per-tenant pools of warm solving caches (CachePool) under one
 //     global memory budget (Ledger) with cross-tenant LRU eviction, so a
 //     cold tenant cannot hold RAM forever and a hot tenant cannot starve
-//     the rest into thrash;
-//   - a composable solver-pool Router in the style of kubo's delegated
-//     routing: named leaf pools (warm-cache, fresh one-shot) composed by
-//     parallel (first verdict wins, losers cancelled) and sequential
-//     (fallback on indeterminate) meta-pools with per-pool timeouts,
-//     selected per workflow method.
+//     the rest into thrash.
 //
 // The package is generic over the serving-state type so it stays free of
 // the HTTP layer; internal/server instantiates it with *server.State.
@@ -85,7 +80,6 @@ type idleCache struct {
 	bytes    int64
 	lastUsed int64
 	stats    muppet.ReuseStats
-	workers  []muppet.WorkerStats
 }
 
 // CachePool is one tenant's pool of warm solving caches. Checkout hands
@@ -153,7 +147,6 @@ func (p *CachePool) Checkin(c *muppet.SolveCache) {
 	// Stats/ApproxBytes walk every live session.
 	bytes := c.ApproxBytes()
 	stats := c.Stats()
-	workers := c.Workers()
 
 	l := p.ledger
 	l.mu.Lock()
@@ -163,9 +156,7 @@ func (p *CachePool) Checkin(c *muppet.SolveCache) {
 		return
 	}
 	l.clock++
-	p.free = append(p.free, &idleCache{
-		cache: c, bytes: bytes, lastUsed: l.clock, stats: stats, workers: workers,
-	})
+	p.free = append(p.free, &idleCache{cache: c, bytes: bytes, lastUsed: l.clock, stats: stats})
 	l.total += bytes
 	l.evictLocked()
 }
@@ -241,9 +232,6 @@ type PoolStats struct {
 	// caches, including ones already dropped (so counters stay
 	// monotonic across evictions).
 	Reuse muppet.ReuseStats
-	// Workers is the most recent portfolio-solve worker report seen at a
-	// checkin, nil when solves have been sequential.
-	Workers []muppet.WorkerStats
 }
 
 // Stats snapshots the pool.
@@ -262,9 +250,6 @@ func (p *CachePool) Stats() PoolStats {
 	for _, ic := range p.free {
 		st.Bytes += ic.bytes
 		st.Reuse.Add(ic.stats)
-		if ic.workers != nil {
-			st.Workers = ic.workers
-		}
 	}
 	return st
 }
