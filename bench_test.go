@@ -425,17 +425,6 @@ func BenchmarkAblationNoLearning(b *testing.B) {
 	benchSolveWith(b, sat.Options{DisableLearning: true}, boolcirc.Options{})
 }
 
-// BenchmarkAblationNaivePropagation replaces two-watched-literal
-// propagation with occurrence-list scans.
-func BenchmarkAblationNaivePropagation(b *testing.B) {
-	benchSolveWith(b, sat.Options{NaivePropagation: true}, boolcirc.Options{})
-}
-
-// BenchmarkAblationNoRestarts disables Luby restarts.
-func BenchmarkAblationNoRestarts(b *testing.B) {
-	benchSolveWith(b, sat.Options{DisableRestarts: true}, boolcirc.Options{})
-}
-
 // BenchmarkAblationNoHashCons disables structural sharing in the circuit
 // factory.
 func BenchmarkAblationNoHashCons(b *testing.B) {
@@ -472,7 +461,7 @@ func benchEncodingWith(b *testing.B, satOpts sat.Options, cnfOpts boolcirc.CNFOp
 }
 
 // BenchmarkEncodingFull is the production pipeline: polarity-aware
-// Tseitin, AIG sweeping, and CNF preprocessing all on.
+// Tseitin and CNF preprocessing both on.
 func BenchmarkEncodingFull(b *testing.B) {
 	benchEncodingWith(b, sat.Options{}, boolcirc.CNFOptions{})
 }
@@ -482,21 +471,16 @@ func BenchmarkEncodingNoPolarity(b *testing.B) {
 	benchEncodingWith(b, sat.Options{}, boolcirc.CNFOptions{NoPolarity: true})
 }
 
-// BenchmarkEncodingNoSweep skips functional AIG sweeping before emission.
-func BenchmarkEncodingNoSweep(b *testing.B) {
-	benchEncodingWith(b, sat.Options{}, boolcirc.CNFOptions{NoSweep: true})
-}
-
 // BenchmarkEncodingNoSimp skips CNF preprocessing in the solver.
 func BenchmarkEncodingNoSimp(b *testing.B) {
 	benchEncodingWith(b, sat.Options{DisableSimp: true}, boolcirc.CNFOptions{})
 }
 
-// BenchmarkEncodingLegacy is the seed encoding: full Tseitin, no sweep, no
+// BenchmarkEncodingLegacy is the seed encoding: full Tseitin, no
 // preprocessing — the before side of every shrink comparison.
 func BenchmarkEncodingLegacy(b *testing.B) {
 	benchEncodingWith(b, sat.Options{DisableSimp: true},
-		boolcirc.CNFOptions{NoPolarity: true, NoSweep: true})
+		boolcirc.CNFOptions{NoPolarity: true})
 }
 
 // BenchmarkEncodingTenantFleet measures the multi-tenant serving path: a

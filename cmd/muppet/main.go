@@ -9,7 +9,6 @@
 //	muppet diff       — diff two bundle revisions; delta re-reconcile
 //	muppet watch      — follow a daemon's watch endpoint
 //	muppet eval       — evaluate one flow under concrete configurations
-//	muppet bench      — serve repeated queries, optionally in parallel
 //	muppet version    — report the build's version and VCS revision
 //
 // System structure and current configurations come from YAML files (K8s
@@ -38,11 +37,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -51,7 +48,6 @@ import (
 	"muppet/internal/feder"
 	"muppet/internal/server"
 	"muppet/internal/target"
-	"muppet/internal/tenant"
 )
 
 // Exit codes, shared with the daemon's verdict codes so scripted callers
@@ -134,8 +130,6 @@ func dispatch(ctx context.Context, cmd string, args []string) error {
 		return runWatch(ctx, args)
 	case "eval":
 		return runEval(ctx, args)
-	case "bench":
-		return runBench(ctx, args)
 	case "transcript":
 		return runTranscript(ctx, args)
 	case "version":
@@ -165,7 +159,6 @@ commands:
   watch      follow a daemon's watch endpoint, printing each revision's
              verdict as goals/configs change
   eval       evaluate a single flow under the loaded configurations
-  bench      serve repeated queries from warm sessions, optionally parallel
   transcript verify an HMAC-chained federated negotiation transcript
   version    report the build's version and VCS revision
 
@@ -195,11 +188,11 @@ negotiate also accepts (federated mode):
   -transcript       append the HMAC-chained negotiation transcript here
   -transcript-key   shared HMAC key for -transcript (and transcript verify)
 
-check/envelope/reconcile/conform/negotiate/bench also accept:
+check/envelope/reconcile/conform/negotiate also accept:
   -timeout        wall-clock budget for the whole command (e.g. 500ms; 0 = none)
   -max-conflicts  solver conflict budget (0 = none)
   -encoding       encoding pipeline: full (default) | legacy | comma list of
-                  no-polarity,no-sweep,no-simp
+                  no-polarity,no-simp
   -v              print session-reuse and encoding statistics
 
 diff accepts:
@@ -214,13 +207,6 @@ watch accepts:
   -op             op to watch (default reconcile); -party/-provider as above
   -events         stop after N events (0 = until terminal or ^C)
   -raw            suppress the // delta commentary lines
-
-bench also accepts:
-  -n                number of queries to serve (default 64)
-  -parallel         worker goroutines (0 = GOMAXPROCS; default 1)
-  -kind             query kind: consistency|envelope|reconcile|mixed|tenants|delta
-  -tenants          fleet size for -kind tenants (default 8; -files unused)
-  -cache-budget-mb  idle warm-cache budget for -kind tenants, MiB (0 = unlimited)
 
 reconcile/conform/negotiate also accept:
   -strategy     minimal-edit distance search: auto|linear|binary
@@ -262,7 +248,7 @@ func (l *limits) register(fs *flag.FlagSet) {
 	fs.Int64Var(&l.maxConflicts, "max-conflicts", 0,
 		"solver conflict budget (0 = none)")
 	fs.StringVar(&l.encoding, "encoding", "full",
-		"encoding pipeline: full|legacy or comma list of no-polarity,no-sweep,no-simp")
+		"encoding pipeline: full|legacy or comma list of no-polarity,no-simp")
 	fs.BoolVar(&l.verbose, "v", false,
 		"print session-reuse and encoding statistics")
 }
@@ -273,19 +259,17 @@ func parseEncoding(s string) (muppet.Encoding, error) {
 	case "", "full":
 		return muppet.Encoding{}, nil
 	case "legacy":
-		return muppet.Encoding{NoPolarity: true, NoSweep: true, NoPreprocess: true}, nil
+		return muppet.Encoding{NoPolarity: true, NoPreprocess: true}, nil
 	}
 	var e muppet.Encoding
 	for _, part := range strings.Split(s, ",") {
 		switch strings.TrimSpace(part) {
 		case "no-polarity":
 			e.NoPolarity = true
-		case "no-sweep":
-			e.NoSweep = true
 		case "no-simp":
 			e.NoPreprocess = true
 		default:
-			return e, fmt.Errorf("bad -encoding %q (want full|legacy or no-polarity,no-sweep,no-simp)", s)
+			return e, fmt.Errorf("%w: bad -encoding %q (want full|legacy or no-polarity,no-simp)", server.ErrUsage, s)
 		}
 	}
 	return e, nil
@@ -393,7 +377,7 @@ func registerStrategy(fs *flag.FlagSet) *string {
 func applyStrategy(name string) error {
 	st, ok := target.ParseStrategy(name)
 	if !ok {
-		return fmt.Errorf("bad -strategy %q (want auto|linear|binary)", name)
+		return fmt.Errorf("%w: bad -strategy %q (want auto|linear|binary)", server.ErrUsage, name)
 	}
 	target.SetDefaultStrategy(st)
 	return nil
@@ -589,289 +573,6 @@ func runTranscript(_ context.Context, args []string) error {
 		return statusErr(exitUnsat)
 	}
 	fmt.Printf("OK: %d entries verified\n", n)
-	return nil
-}
-
-// runBench serves -n independent queries across -parallel workers sharing
-// one System, each worker holding its own parties and SolveCache — the
-// concurrent-deployment smoke test (and the CLI face of muppet.FanOut).
-func runBench(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	var in inputs
-	var lim limits
-	in.register(fs)
-	lim.register(fs)
-	n := fs.Int("n", 64, "number of queries to serve")
-	parallel := fs.Int("parallel", 1, "worker goroutines (0 = GOMAXPROCS)")
-	kind := fs.String("kind", "mixed", "query kind: consistency|envelope|reconcile|mixed|tenants|delta")
-	fleet := fs.Int("tenants", 8, "fleet size for -kind tenants")
-	budgetMB := fs.Int("cache-budget-mb", 0, "idle warm-cache budget for -kind tenants, MiB (0 = unlimited)")
-	fs.Parse(args)
-	ctx, cancel, budget, err := lim.apply(ctx)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	if *kind == "tenants" {
-		return benchTenants(ctx, &lim, budget, *n, *parallel, *fleet, *budgetMB)
-	}
-	if *kind == "delta" {
-		return benchDelta(ctx, &lim, budget, *n)
-	}
-	st, err := in.load()
-	if err != nil {
-		return err
-	}
-	kinds := []string{"consistency", "envelope", "reconcile"}
-	switch *kind {
-	case "mixed":
-	case "consistency", "envelope", "reconcile":
-		kinds = []string{*kind}
-	default:
-		return fmt.Errorf("bad -kind %q (want consistency|envelope|reconcile|mixed|tenants|delta)", *kind)
-	}
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > *n {
-		workers = *n
-	}
-	caches := make([]*muppet.SolveCache, workers)
-	var served atomic.Int64
-	start := time.Now()
-	// Each FanOut task is one worker serving its share of the queries from
-	// its own warm sessions; only the System is shared.
-	err = muppet.FanOut(ctx, workers, workers, func(ctx context.Context, w int) error {
-		k8sParty, istioParty, err := st.FreshParties()
-		if err != nil {
-			return err
-		}
-		cache := muppet.NewSolveCache()
-		caches[w] = cache
-		for q := w; q < *n; q += workers {
-			switch kinds[q%len(kinds)] {
-			case "consistency":
-				res := cache.LocalConsistencyCtx(ctx, st.Sys, k8sParty, []*muppet.Party{istioParty}, budget)
-				if res.Indeterminate {
-					return fmt.Errorf("query %d indeterminate (%s)", q, res.Stop)
-				}
-			case "envelope":
-				if _, err := muppet.ComputeEnvelopeCtx(ctx, st.Sys, istioParty, []*muppet.Party{k8sParty}); err != nil {
-					return err
-				}
-			case "reconcile":
-				res := cache.ReconcileCtx(ctx, st.Sys, []*muppet.Party{k8sParty, istioParty}, budget)
-				if res.Indeterminate {
-					return fmt.Errorf("query %d indeterminate (%s)", q, res.Stop)
-				}
-			}
-			served.Add(1)
-		}
-		return nil
-	})
-	elapsed := time.Since(start)
-	if lim.verbose {
-		var agg muppet.ReuseStats
-		for _, c := range caches {
-			if c == nil {
-				continue
-			}
-			agg.Add(c.Stats())
-		}
-		printReuse(agg)
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			fmt.Printf("INDETERMINATE: served %d/%d queries in %v\n", served.Load(), *n, elapsed.Round(time.Millisecond))
-			return statusErr(exitIndeterminate)
-		}
-		return err
-	}
-	qps := float64(served.Load()) / elapsed.Seconds()
-	fmt.Printf("served %d queries (%s) with %d workers in %v (%.1f queries/s)\n",
-		served.Load(), *kind, workers, elapsed.Round(time.Millisecond), qps)
-	return nil
-}
-
-// benchDelta is the -kind delta mode: the full-vs-delta pair at the
-// services=12 generated scenario. One revision edit (the first port ban
-// flipped to an allow) arrives n times, alternating directions; the
-// cold leg rebuilds everything per query, the delta leg serves each
-// from the previous revision's warm sessions via snapshot → diff →
-// rebase. Prints both rates and the speedup — the watch-mode win.
-func benchDelta(ctx context.Context, lim *limits, budget muppet.Budget, n int) error {
-	sc := muppet.GenerateScenario(muppet.ScenarioParams{
-		Services:        12,
-		PortsPerService: 2,
-		Flows:           12,
-		BannedPorts:     2,
-		Seed:            42,
-	})
-	sys, err := sc.System()
-	if err != nil {
-		return err
-	}
-	mk := func(kg []muppet.K8sGoal) ([]*muppet.Party, error) {
-		k8s, _, err := muppet.NewK8sParty(sys, sc.K8sCurrent, muppet.AllSoft(), kg)
-		if err != nil {
-			return nil, err
-		}
-		istio, _, err := muppet.NewIstioParty(sys, sc.IstioCurrent, muppet.AllSoft(), sc.IstioRelaxed)
-		if err != nil {
-			return nil, err
-		}
-		return []*muppet.Party{k8s, istio}, nil
-	}
-	goalsB := append([]muppet.K8sGoal(nil), sc.K8sGoals...)
-	goalsB[0].Allow = !goalsB[0].Allow
-	partiesA, err := mk(sc.K8sGoals)
-	if err != nil {
-		return err
-	}
-	partiesB, err := mk(goalsB)
-	if err != nil {
-		return err
-	}
-	revs := [2][]*muppet.Party{partiesA, partiesB}
-
-	coldN := n
-	if coldN > 8 {
-		coldN = 8 // cold solves are slow; a few suffice for the rate
-	}
-	coldStart := time.Now()
-	for q := 0; q < coldN; q++ {
-		if res := muppet.Reconcile(sys, revs[q%2]); !res.OK {
-			return fmt.Errorf("cold query %d: scenario must reconcile", q)
-		}
-	}
-	coldPer := time.Since(coldStart) / time.Duration(coldN)
-
-	cache := muppet.NewSolveCache()
-	prev := muppet.Snapshot(sys, partiesA)
-	if res := cache.ReconcileCtx(ctx, sys, partiesA, budget); !res.OK {
-		return fmt.Errorf("warmup: scenario must reconcile")
-	}
-	var last muppet.DeltaStats
-	deltaStart := time.Now()
-	for q := 0; q < n; q++ {
-		ps := revs[(q+1)%2]
-		next := muppet.Snapshot(sys, ps)
-		plan := muppet.CompareRevisions(prev, next)
-		if !plan.Compatible {
-			return fmt.Errorf("delta query %d: revisions must be compatible: %s", q, plan.Reason)
-		}
-		var res *muppet.Result
-		last = cache.Rebase(plan, func() {
-			res = cache.ReconcileCtx(ctx, sys, ps, budget)
-		})
-		if res.Indeterminate {
-			return fmt.Errorf("delta query %d indeterminate (%s)", q, res.Stop)
-		}
-		if !res.OK {
-			return fmt.Errorf("delta query %d: scenario must reconcile", q)
-		}
-		prev = next
-	}
-	deltaPer := time.Since(deltaStart) / time.Duration(n)
-	if lim.verbose {
-		printReuse(cache.Stats())
-	}
-	if last.Cold {
-		return fmt.Errorf("delta serving went cold: %s", last.Reason)
-	}
-	fmt.Printf("// delta: groups: %d kept, %d re-asserted; goals: %d kept, +%d −%d; vars restored: %d\n",
-		last.GroupsKept, last.GroupsReasserted, last.GoalsKept, last.GoalsAdded, last.GoalsRemoved, last.Restored)
-	fmt.Printf("cold %v/op (%d ops), delta %v/op (%d ops): %.1fx speedup\n",
-		coldPer.Round(time.Microsecond), coldN, deltaPer.Round(time.Microsecond), n,
-		float64(coldPer)/float64(deltaPer))
-	return nil
-}
-
-// benchTenants is the -kind tenants mode: an in-process model of the
-// multi-tenant daemon. It generates a fleet of synthetic tenant bundles,
-// gives each a warm-cache pool on one shared ledger, and round-robins
-// consistency queries across the fleet from -parallel workers, reporting
-// throughput plus the ledger's eviction behaviour under -cache-budget-mb.
-func benchTenants(ctx context.Context, lim *limits, budget muppet.Budget, n, parallel, fleet, budgetMB int) error {
-	if fleet <= 0 {
-		return fmt.Errorf("bad -tenants %d (want > 0)", fleet)
-	}
-	type bundle struct {
-		sys   *muppet.System
-		k8s   *muppet.Party
-		istio *muppet.Party
-		pool  *tenant.CachePool
-	}
-	ledger := tenant.NewLedger(int64(budgetMB) << 20)
-	bundles := make([]*bundle, fleet)
-	for i := range bundles {
-		// Vary the scenario size across the fleet so tenants' warm caches
-		// differ in weight, giving the eviction policy real choices.
-		sc := muppet.GenerateScenario(muppet.ScenarioParams{
-			Services:        3 + i%3,
-			PortsPerService: 2,
-			Flows:           3,
-			BannedPorts:     1,
-			Seed:            int64(101 + i),
-		})
-		sys, err := sc.System()
-		if err != nil {
-			return err
-		}
-		k8s, _, err := muppet.NewK8sParty(sys, sc.K8sCurrent, muppet.AllSoft(), nil)
-		if err != nil {
-			return err
-		}
-		istio, _, err := muppet.NewIstioParty(sys, sc.IstioCurrent, muppet.AllSoft(), sc.IstioRelaxed)
-		if err != nil {
-			return err
-		}
-		bundles[i] = &bundle{sys: sys, k8s: k8s, istio: istio,
-			pool: ledger.NewPool(fmt.Sprintf("tenant-%02d", i))}
-	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var served atomic.Int64
-	start := time.Now()
-	err := muppet.FanOut(ctx, workers, workers, func(ctx context.Context, w int) error {
-		for q := w; q < n; q += workers {
-			bu := bundles[q%fleet]
-			c := bu.pool.Checkout()
-			res := c.LocalConsistencyCtx(ctx, bu.sys, bu.k8s, []*muppet.Party{bu.istio}, budget)
-			bu.pool.Checkin(c)
-			if res.Indeterminate {
-				return fmt.Errorf("query %d (%s) indeterminate (%s)", q, bu.pool.Tenant(), res.Stop)
-			}
-			served.Add(1)
-		}
-		return nil
-	})
-	elapsed := time.Since(start)
-	if lim.verbose {
-		var agg muppet.ReuseStats
-		for _, bu := range bundles {
-			agg.Add(bu.pool.Stats().Reuse)
-		}
-		printReuse(agg)
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			fmt.Printf("INDETERMINATE: served %d/%d queries in %v\n", served.Load(), n, elapsed.Round(time.Millisecond))
-			return statusErr(exitIndeterminate)
-		}
-		return err
-	}
-	qps := float64(served.Load()) / elapsed.Seconds()
-	fmt.Printf("served %d queries across %d tenants with %d workers in %v (%.1f queries/s)\n",
-		served.Load(), fleet, workers, elapsed.Round(time.Millisecond), qps)
-	fmt.Printf("cache budget %d MiB: %d idle bytes, %d evictions\n",
-		budgetMB, ledger.TotalBytes(), ledger.Evictions())
 	return nil
 }
 

@@ -285,6 +285,18 @@ func TestRunCtxUsageExitCodes(t *testing.T) {
 	if code := runCtx(context.Background(), []string{"help"}); code != exitSat {
 		t.Fatalf("help: exit %d, want %d", code, exitSat)
 	}
+	// Bad flag values are usage errors, as -timeout bogus is (the flag
+	// package exits 2 on its own).
+	for _, argv := range [][]string{
+		{"reconcile", "-strategy", "bogus"},
+		{"reconcile", "-encoding", "bogus"},
+		{"reconcile", "-encoding", "no-sweep"},
+		{"bench"},
+	} {
+		if code := runCtx(context.Background(), argv); code != exitUsage {
+			t.Errorf("%v: exit %d, want %d", argv, code, exitUsage)
+		}
+	}
 }
 
 // TestRunCtxCancelledIsIndeterminate pins the SIGINT wiring: run()

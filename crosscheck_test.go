@@ -19,10 +19,10 @@ import (
 )
 
 // The encoding cross-check suite asserts the core promise of the encoding
-// pipeline (polarity-aware Tseitin, AIG sweeping, CNF preprocessing):
-// every configuration — including the legacy seed encoding with all three
-// off — produces byte-identical verdicts, canonical models, edits, blame
-// cores, and negotiation transcripts. The optimisations may only change
+// pipeline (polarity-aware Tseitin, CNF preprocessing): every
+// configuration — including the legacy seed encoding with both off —
+// produces byte-identical verdicts, canonical models, edits, blame cores,
+// and negotiation transcripts. The optimisations may only change
 // encoding size and speed, never observable output.
 
 // encodingConfigs spans the ablation lattice from the full pipeline to
@@ -34,8 +34,7 @@ var encodingConfigs = []struct {
 	{"full", muppet.Encoding{}},
 	{"no-simp", muppet.Encoding{NoPreprocess: true}},
 	{"no-polarity", muppet.Encoding{NoPolarity: true}},
-	{"no-sweep", muppet.Encoding{NoSweep: true}},
-	{"legacy", muppet.Encoding{NoPolarity: true, NoSweep: true, NoPreprocess: true}},
+	{"legacy", muppet.Encoding{NoPolarity: true, NoPreprocess: true}},
 }
 
 // withEncoding runs f under e, restoring the previous configuration.
@@ -299,7 +298,7 @@ func TestEncodingShrinks(t *testing.T) {
 		return st
 	}
 	full := measure(muppet.Encoding{})
-	legacy := measure(muppet.Encoding{NoPolarity: true, NoSweep: true, NoPreprocess: true})
+	legacy := measure(muppet.Encoding{NoPolarity: true, NoPreprocess: true})
 	t.Logf("full: %+v", full)
 	t.Logf("legacy: %+v", legacy)
 	if full.SolverClauses >= legacy.SolverClauses {

@@ -14,9 +14,9 @@
 // parallel slices (kind, input a, input b), a Ref is an edge made of a node
 // offset plus a complement bit, and hash-consing runs over an open-addressed
 // index table into the arena rather than a Go map of boxed keys. The CNF
-// emitter and the sweeper keep their per-node state in dense slices indexed
-// by the same offsets, so the whole formula→clause front-end walks flat
-// memory the way the solver's clause arena does.
+// emitter keeps its per-node state in dense slices indexed by the same
+// offsets, so the whole formula→clause front-end walks flat memory the way
+// the solver's clause arena does.
 package boolcirc
 
 import (
@@ -338,14 +338,11 @@ func flipPol(p uint8) uint8 {
 }
 
 // CNFOptions configure the circuit-to-CNF emission; the zero value is the
-// recommended default. The toggles exist for the ablation benchmarks.
+// recommended default. The toggle exists for the ablation benchmarks.
 type CNFOptions struct {
 	// NoPolarity always emits the full three-clause biconditional per AND
 	// gate instead of Plaisted–Greenbaum polarity-aware emission.
 	NoPolarity bool
-	// NoSweep disables the AIG sweep pass (constant propagation,
-	// duplicate-cone merging, dead-node elimination) before emission.
-	NoSweep bool
 }
 
 // CNF incrementally emits circuit nodes into a SAT solver via the Tseitin
@@ -372,7 +369,6 @@ type CNF struct {
 	nodeVar []sat.Var // circuit node index → solver variable (-1 unset)
 	nodePol []uint8   // circuit node index → emitted polarities
 	varVar  []sat.Var // circuit variable id → solver variable (-1 unset)
-	sw      *sweeper
 }
 
 // NewCNF couples a factory with a solver using default options.
@@ -382,16 +378,11 @@ func NewCNF(f *Factory, s *sat.Solver) *CNF {
 
 // NewCNFWithOptions couples a factory with a solver.
 func NewCNFWithOptions(f *Factory, s *sat.Solver, opts CNFOptions) *CNF {
-	c := &CNF{f: f, s: s, opts: opts}
-	if !opts.NoSweep {
-		c.sw = newSweeper(f)
-	}
-	return c
+	return &CNF{f: f, s: s, opts: opts}
 }
 
 // ensureNode grows the dense node-indexed state to cover node ni (the
-// factory keeps allocating nodes after the CNF is created — the sweeper's
-// bottom-up rebuild in particular appends to the arena mid-emission).
+// factory keeps allocating nodes after the CNF is created).
 func (c *CNF) ensureNode(ni int32) {
 	for int(ni) >= len(c.nodeVar) {
 		c.nodeVar = append(c.nodeVar, -1)
@@ -420,22 +411,12 @@ func (c *CNF) SolverVar(id int) sat.Var {
 	return v
 }
 
-// sweep maps r to its canonical equivalent (identity when sweeping is
-// disabled).
-func (c *CNF) sweep(r Ref) Ref {
-	if c.sw == nil {
-		return r
-	}
-	return c.sw.sweep(r)
-}
-
 // LitFor returns a solver literal equivalent to the circuit edge r,
 // emitting Tseitin definitions (both polarities) for any AND gates not
 // yet encoded. Constants are encoded through a dedicated always-true
 // variable. The literal's variable is frozen: callers use it as an
 // assumption, selector, or soft target, and read it from models.
 func (c *CNF) LitFor(r Ref) sat.Lit {
-	r = c.sweep(r)
 	v := c.litForNode(r.node(), polBoth)
 	c.s.Freeze(v)
 	return sat.MkLit(v, r.complemented())
@@ -508,7 +489,6 @@ func (c *CNF) litEdge(e Ref, pol uint8) sat.Lit {
 // implication direction the assertion needs: asserting a positive edge
 // needs v → cone, asserting a complemented edge needs cone → v.
 func (c *CNF) Assert(r Ref) {
-	r = c.sweep(r)
 	switch r {
 	case True:
 		return

@@ -31,8 +31,8 @@ func TestPolarityEmitsFewerClauses(t *testing.T) {
 		NewCNFWithOptions(f, s, opts).Assert(root)
 		return s.NumClauses()
 	}
-	pol := count(CNFOptions{NoSweep: true})
-	full := count(CNFOptions{NoSweep: true, NoPolarity: true})
+	pol := count(CNFOptions{})
+	full := count(CNFOptions{NoPolarity: true})
 	if pol >= full {
 		t.Fatalf("polarity-aware emitted %d clauses, full biconditional %d", pol, full)
 	}
@@ -62,67 +62,6 @@ func TestLazyPolarityUpgrade(t *testing.T) {
 	}
 }
 
-// TestSweepEquivalence: sweeping must preserve the function exactly.
-func TestSweepEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for iter := 0; iter < 300; iter++ {
-		nVars := 2 + rng.Intn(6)
-		f := New()
-		root := randomCircuit(rng, f, nVars, 5)
-		sw := newSweeper(f)
-		swept := sw.sweep(root)
-		for mask := 0; mask < 1<<nVars; mask++ {
-			val := func(id int) bool { return mask>>id&1 == 1 }
-			if f.Eval(root, val) != f.Eval(swept, val) {
-				t.Fatalf("iter %d mask %b: sweep changed the function", iter, mask)
-			}
-		}
-	}
-}
-
-// TestSweepMergesDuplicateCones: functionally identical, structurally
-// different cones share one Tseitin variable.
-func TestSweepMergesDuplicateCones(t *testing.T) {
-	f := New()
-	x, y, z := f.Var(), f.Var(), f.Var()
-	a := f.And(x, f.Or(y, z))
-	b := f.Or(f.And(x, y), f.And(x, z)) // distributed form, same function
-	if a == b {
-		t.Fatal("test premise broken: structural sharing already merged them")
-	}
-	s := sat.New()
-	cnf := NewCNF(f, s)
-	la := cnf.LitFor(a)
-	nVars := s.NumVars()
-	lb := cnf.LitFor(b)
-	if la != lb {
-		t.Fatalf("duplicate cones got distinct literals: %v vs %v", la, lb)
-	}
-	if s.NumVars() != nVars {
-		t.Fatal("second cone allocated fresh solver variables")
-	}
-	// Complement-canonicalisation: the complement shares the entry too.
-	if got := cnf.LitFor(b.Not()); got != la.Not() {
-		t.Fatalf("complement cone: got %v want %v", got, la.Not())
-	}
-}
-
-// TestSweepCollapsesSemanticConstants: cones that are semantically
-// constant but structurally nontrivial fold to the constants.
-func TestSweepCollapsesSemanticConstants(t *testing.T) {
-	f := New()
-	x, y := f.Var(), f.Var()
-	contradiction := f.And(f.Or(x, y), f.And(x.Not(), y.Not()))
-	tautology := f.Or(f.And(x, y), f.Or(x.Not(), y.Not()))
-	sw := newSweeper(f)
-	if got := sw.sweep(contradiction); got != False {
-		t.Fatalf("contradiction swept to %v, want False", got)
-	}
-	if got := sw.sweep(tautology); got != True {
-		t.Fatalf("tautology swept to %v, want True", got)
-	}
-}
-
 // TestAssertFalseMemoised: repeated Assert(False) reuses the constant
 // node's variable instead of minting fresh pairs.
 func TestAssertFalseMemoised(t *testing.T) {
@@ -141,7 +80,7 @@ func TestAssertFalseMemoised(t *testing.T) {
 	}
 }
 
-// TestEncodingOptionsAgree: every combination of polarity/sweep/simp
+// TestEncodingOptionsAgree: every combination of polarity/simp
 // reaches the same verdict, and Sat models satisfy the circuit.
 func TestEncodingOptionsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -152,8 +91,7 @@ func TestEncodingOptionsAgree(t *testing.T) {
 		{CNFOptions{}, false},
 		{CNFOptions{}, true},
 		{CNFOptions{NoPolarity: true}, false},
-		{CNFOptions{NoSweep: true}, false},
-		{CNFOptions{NoPolarity: true, NoSweep: true}, true}, // the seed encoding
+		{CNFOptions{NoPolarity: true}, true}, // the seed encoding
 	}
 	for iter := 0; iter < 150; iter++ {
 		nVars := 2 + rng.Intn(6)

@@ -501,52 +501,6 @@ func decodeVia(sys *encode.System, p *Party) *mesh.K8sConfig {
 	return sys.DecodeK8s(inst)
 }
 
-func BenchmarkFig7Conformance(b *testing.B) {
-	f := loadFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Party construction is setup, not the measured workflow: parties
-		// are consumed by the run, so rebuild them off the clock.
-		b.StopTimer()
-		k8sParty, _, err := NewK8sParty(f.sys, f.k8sCfg, encode.Offer{}, f.k8sGoals)
-		if err != nil {
-			b.Fatal(err)
-		}
-		istioParty, _, err := NewIstioParty(f.sys, f.istioCfg, encode.AllSoft(), f.istioRevised)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		out := RunConformance(f.sys, k8sParty, istioParty)
-		if !out.Reconciled {
-			b.Fatal("conformance failed")
-		}
-	}
-}
-
-func BenchmarkFig9Negotiation(b *testing.B) {
-	f := loadFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		pushed := mesh.CloneK8s(f.k8sCfg)
-		pushed.Policy("cluster-default").IngressDenyPorts = []int{23}
-		k8sParty, _, err := NewK8sParty(f.sys, pushed, encode.Offer{}, f.k8sGoals)
-		if err != nil {
-			b.Fatal(err)
-		}
-		istioParty, _, err := NewIstioParty(f.sys, f.istioCfg, encode.AllSoft(), f.istioRevised)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		out := NewNegotiation(f.sys, k8sParty, istioParty).Run()
-		if !out.Reconciled {
-			b.Fatal("negotiation failed")
-		}
-	}
-}
-
 func TestGoalsCompatible(t *testing.T) {
 	// Sec. 3's second envelope use: compare E_{K8s→Istio} with the
 	// recipient's goals. The strict Fig. 3 goals are incompatible — no

@@ -112,14 +112,14 @@ func newWorkspace(sys *encode.System, specs []partySpec, reusable bool) *workspa
 	ws.ss = relational.NewSessionWithOptions(b,
 		boolcirc.New(),
 		sat.NewWithOptions(satOpts),
-		boolcirc.CNFOptions{NoPolarity: cfg.NoPolarity, NoSweep: cfg.NoSweep})
+		boolcirc.CNFOptions{NoPolarity: cfg.NoPolarity})
 	ws.populate()
 	return ws
 }
 
 // Encoding is the package-wide encoding pipeline configuration for
-// workflow solves. The zero value — polarity-aware Tseitin, AIG sweep,
-// and CNF preprocessing all on — is the default; the switches exist for
+// workflow solves. The zero value — polarity-aware Tseitin and CNF
+// preprocessing both on — is the default; the switches exist for
 // ablation runs and as an escape hatch (wired to the muppet CLI's
 // -encoding flag). It is stored atomically so concurrent workflow
 // queries may read it while a test or the CLI configures it; it takes
@@ -127,15 +127,12 @@ func newWorkspace(sys *encode.System, specs []partySpec, reusable bool) *workspa
 type Encoding struct {
 	// NoPolarity emits full Tseitin biconditionals for every gate.
 	NoPolarity bool
-	// NoSweep disables AIG sweeping before emission.
-	NoSweep bool
 	// NoPreprocess disables CNF preprocessing in the solver.
 	NoPreprocess bool
 }
 
 const (
 	encNoPolarity uint32 = 1 << iota
-	encNoSweep
 	encNoPreprocess
 )
 
@@ -145,9 +142,6 @@ func (e Encoding) pack() uint32 {
 	var f uint32
 	if e.NoPolarity {
 		f |= encNoPolarity
-	}
-	if e.NoSweep {
-		f |= encNoSweep
 	}
 	if e.NoPreprocess {
 		f |= encNoPreprocess
@@ -169,7 +163,6 @@ func EncodingConfig() Encoding {
 func unpackEncoding(f uint32) Encoding {
 	return Encoding{
 		NoPolarity:   f&encNoPolarity != 0,
-		NoSweep:      f&encNoSweep != 0,
 		NoPreprocess: f&encNoPreprocess != 0,
 	}
 }

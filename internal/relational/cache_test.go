@@ -71,9 +71,9 @@ func TestTranslationCacheStructuralHit(t *testing.T) {
 // collide in the translation cache: different quantifier kind, different
 // connective, different bound variable wiring. Semantically distinct
 // variants must yield distinct literals; semantically EQUIVALENT variants
-// (a vacuous extra binder) may share a literal — that merge comes from
-// AIG sweeping below the cache, not from a cache hit, which StructHits
-// staying at zero proves.
+// (a vacuous extra binder) may share a literal — such a merge can only
+// come from circuit-level sharing below the cache, not from a cache hit,
+// which StructHits staying at zero proves.
 func TestTranslationCacheDistinguishes(t *testing.T) {
 	ss, r, e := cacheFixture(t)
 	x := NewVar("x")
@@ -93,18 +93,18 @@ func TestTranslationCacheDistinguishes(t *testing.T) {
 		}
 		lits = append(lits, li)
 	}
-	// ∀x,y∈R · φ(x) is equivalent to ∀x∈R · φ(x) (the y binder is
-	// vacuous): the sweep merges its cone onto the same solver literal
-	// while the cache still sees a distinct structure. ∀x,y∈R · φ(y) is
-	// equivalent too but its rebuilt cone is wide (support exceeds the
-	// exact-hashing bound), so it is only required not to cache-collide.
-	merged := Forall([]Decl{NewDecl(x, r), NewDecl(y, r)}, Some(Join(x, e)))
-	if li := ss.Lit(merged); li != lits[0] {
-		t.Fatalf("equivalent variant not merged by sweep: %v vs %v", li, lits[0])
+	// ∀x,y∈R · φ(x) and ∀x,y∈R · φ(y) are both equivalent to
+	// ∀x∈R · φ(x) (one binder is vacuous) while the cache sees distinct
+	// structures, so each is only required not to collide with a
+	// semantically distinct variant.
+	equivalent := []Formula{
+		Forall([]Decl{NewDecl(x, r), NewDecl(y, r)}, Some(Join(x, e))),
+		Forall([]Decl{NewDecl(x, r), NewDecl(y, r)}, Some(Join(y, e))),
 	}
-	wide := Forall([]Decl{NewDecl(x, r), NewDecl(y, r)}, Some(Join(y, e)))
-	if li := ss.Lit(wide); li == lits[1] || li == lits[2] {
-		t.Fatalf("wide variant collided with a semantically distinct one: %v", li)
+	for i, f := range equivalent {
+		if li := ss.Lit(f); li == lits[1] || li == lits[2] {
+			t.Fatalf("equivalent variant %d collided with a semantically distinct one: %v", i, li)
+		}
 	}
 	if st := ss.CacheStats(); st.StructHits != 0 {
 		t.Fatalf("distinct structures produced structural hits: %+v", st)

@@ -35,8 +35,8 @@ func NewSessionWith(b *Bounds, f *boolcirc.Factory, s *sat.Solver) *Session {
 }
 
 // NewSessionWithOptions additionally configures the circuit-to-CNF
-// emission (polarity-aware Tseitin, AIG sweeping) — the seam the encoding
-// ablations and the muppet-level encoding knob use.
+// emission (polarity-aware Tseitin) — the seam the encoding ablations and
+// the muppet-level encoding knob use.
 func NewSessionWithOptions(b *Bounds, f *boolcirc.Factory, s *sat.Solver, opts boolcirc.CNFOptions) *Session {
 	return &Session{
 		tr:  NewTranslator(b, f),

@@ -235,11 +235,6 @@ func TestRandomCNFAgainstBruteForce(t *testing.T) {
 func TestRandomCNFAllOptionCombos(t *testing.T) {
 	combos := []Options{
 		{DisableLearning: true},
-		{NaivePropagation: true},
-		{DisablePhaseSaving: true},
-		{DisableRestarts: true},
-		{DisableLearning: true, NaivePropagation: true},
-		{NaivePropagation: true, DisableRestarts: true},
 	}
 	for ci, opts := range combos {
 		rng := rand.New(rand.NewSource(int64(100 + ci)))
@@ -397,19 +392,6 @@ func TestIncrementalNewVarsBetweenSolves(t *testing.T) {
 	}
 	if !s.Value(a) || s.Value(b) {
 		t.Fatalf("model a=%v b=%v", s.Value(a), s.Value(b))
-	}
-}
-
-func TestMaxConflictsBudget(t *testing.T) {
-	s := NewWithOptions(Options{MaxConflicts: 1})
-	pigeonhole(s, 7, 6)
-	st := s.Solve()
-	if st == Sat {
-		t.Fatal("PHP(7,6) cannot be SAT")
-	}
-	// With a one-conflict budget the solver should normally give up.
-	if st != Unknown && st != Unsat {
-		t.Fatalf("got %v", st)
 	}
 }
 

@@ -286,7 +286,7 @@ const chronoThreshold = 100
 
 // search runs CDCL until a model, a restart or budget exhaustion, a
 // cancellation, or an assumption failure. nConflicts bounds this restart's
-// conflicts (<0: none). Budget/cancellation stops set s.stopReason, which
+// conflicts. Budget/cancellation stops set s.stopReason, which
 // distinguishes them from an ordinary restart in Solve's outer loop.
 func (s *Solver) search(nConflicts int64) Status {
 	conflicts := int64(0)
@@ -367,7 +367,7 @@ func (s *Solver) search(nConflicts int64) Status {
 			continue
 		}
 
-		if nConflicts >= 0 && conflicts >= nConflicts {
+		if conflicts >= nConflicts {
 			s.cancelUntil(s.assumptionLevel())
 			return Unknown // restart
 		}
@@ -412,7 +412,7 @@ func (s *Solver) assumptionLevel() int32 { return 0 }
 // Core exposes the failed assumptions. Solve may be called repeatedly,
 // interleaved with AddClause and NewVar. An Unknown return means a budget
 // or cancellation stopped the search (see SolveCtx and StopReason); plain
-// Solve can return Unknown only via the legacy Options.MaxConflicts cap.
+// Solve never returns Unknown.
 func (s *Solver) Solve(assumps ...Lit) Status {
 	s.stopReason = StopNone
 	if s.unsatLevel0 {
@@ -460,11 +460,7 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 
 	var restart int64 = 1
 	for {
-		budget := int64(-1)
-		if !s.opts.DisableRestarts {
-			budget = luby(s.opts.lubyUnit(), restart)
-		}
-		st := s.search(budget)
+		st := s.search(luby(s.opts.lubyUnit(), restart))
 		switch st {
 		case Sat:
 			s.model = make([]bool, len(s.assigns))

@@ -41,22 +41,6 @@ type Options struct {
 	// by BenchmarkAblationNoLearning and as the reference solver of
 	// FuzzDifferentialCDCL.
 	DisableLearning bool
-	// NaivePropagation replaces two-watched-literal propagation with full
-	// occurrence-list clause scans. Used by
-	// BenchmarkAblationNaivePropagation.
-	NaivePropagation bool
-	// DisablePhaseSaving makes decisions always try the negative phase
-	// first. Used only by the package's option-matrix tests.
-	DisablePhaseSaving bool
-	// DisableRestarts switches Luby restarts off. Used by
-	// BenchmarkAblationNoRestarts.
-	DisableRestarts bool
-	// MaxConflicts, when positive, bounds the cumulative conflict count
-	// across the solver's lifetime; exceeding it makes Solve return Unknown
-	// with StopReason() == StopConflicts. Prefer the per-call
-	// Budget.MaxConflicts of SolveCtx, which every workflow caller uses;
-	// only the package's own tests set this field.
-	MaxConflicts int64
 	// DisableSimp turns off SatELite-style preprocessing (subsumption,
 	// self-subsuming resolution, bounded variable elimination) of the
 	// clause database before search. Preprocessing is on by default;
@@ -76,7 +60,7 @@ type Options struct {
 	// when that discards hundreds of levels of still-useful trail. With
 	// chrono on (the default), backjumps longer than chronoThreshold
 	// levels backtrack a single level instead and assert the learnt
-	// literal there, preserving the trail prefix. No caller sets it; it
+	// literal there, preserving the trail prefix. Only tests set it; it
 	// is the off switch for a chrono A/B.
 	DisableChrono bool
 
@@ -109,7 +93,6 @@ type Solver struct {
 	learnts []cref   // learnt clauses
 
 	watches [][]watcher // indexed by literal: clauses watching that literal
-	occs    [][]cref    // naive mode: occurrence lists per literal
 
 	// Deferred watch attachment: AddClause queues clauses here and the
 	// queue is flushed before any propagation. A bulk flush into empty
@@ -235,9 +218,6 @@ func (s *Solver) NewVar() Var {
 	s.polarity = append(s.polarity, true) // default phase: false branch first
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
-	if s.opts.NaivePropagation {
-		s.occs = append(s.occs, nil, nil)
-	}
 	s.order.push(v)
 	return v
 }
@@ -365,11 +345,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	c := s.ca.alloc(out, false)
 	s.clauses = append(s.clauses, c)
-	if s.opts.NaivePropagation {
-		s.attach(c)
-	} else {
-		s.pendingWatch = append(s.pendingWatch, c)
-	}
+	s.pendingWatch = append(s.pendingWatch, c)
 	return true
 }
 
@@ -443,12 +419,6 @@ func (s *Solver) buildWatches(lists ...[]cref) {
 
 func (s *Solver) attach(c cref) {
 	lits := s.ca.lits(c)
-	if s.opts.NaivePropagation {
-		for _, l := range lits {
-			s.occs[l] = append(s.occs[l], c)
-		}
-		return
-	}
 	// Watch the first two literals; the watch list for a literal holds
 	// clauses in which that literal is watched, visited when it goes false.
 	s.watches[lits[0]] = append(s.watches[lits[0]], mkWatcher(c, lits[1]))
@@ -484,9 +454,7 @@ func (s *Solver) cancelUntil(lvl int32) {
 	for i := len(s.trail) - 1; i >= int(bound); i-- {
 		l := s.trail[i]
 		v := l.Var()
-		if !s.opts.DisablePhaseSaving {
-			s.polarity[v] = l.Neg()
-		}
+		s.polarity[v] = l.Neg()
 		s.assigns[v] = lUndef
 		s.reason[v] = crefUndef
 		s.order.push(v)
@@ -617,18 +585,6 @@ func (s *Solver) garbageCollect() {
 		}
 	}
 	s.pendingWatch = pend
-	if s.opts.NaivePropagation {
-		for i := range s.occs {
-			occ := s.occs[i]
-			out := occ[:0]
-			for _, c := range occ {
-				if n := reloc(c); n != crefUndef {
-					out = append(out, n)
-				}
-			}
-			s.occs[i] = out
-		}
-	}
 
 	s.ca = to
 	s.Stats.ArenaGCs++

@@ -113,9 +113,6 @@ type CachePool struct {
 	retiredStats muppet.ReuseStats
 }
 
-// Tenant reports the tenant ID the pool serves.
-func (p *CachePool) Tenant() string { return p.tenant }
-
 // Checkout hands the caller exclusive ownership of a warm cache (most
 // recently used first, to keep the hottest sessions hot), or a fresh one
 // when the pool is empty or retired. Pair with Checkin.

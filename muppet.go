@@ -198,10 +198,10 @@ func CompareRevisions(old, new *DeltaRevision) *DeltaPlan {
 }
 
 // Encoding is the package-wide encoding-pipeline configuration: the zero
-// value (polarity-aware Tseitin, AIG sweeping, CNF preprocessing all on)
-// is the default; the switches are ablation/escape hatches. Changing it
-// never changes verdicts, model validity, or blame cores — only encoding
-// size and speed.
+// value (polarity-aware Tseitin and CNF preprocessing both on) is the
+// default; the switches are ablation/escape hatches. Changing it never
+// changes verdicts, model validity, or blame cores — only encoding size
+// and speed.
 type Encoding = core.Encoding
 
 // EncodingStats sizes the encoding pipeline across a SolveCache's live
