@@ -16,7 +16,6 @@ import (
 	"muppet/internal/envelope"
 	"muppet/internal/relational"
 	"muppet/internal/sat"
-	tenantpool "muppet/internal/tenant"
 )
 
 // walkthrough loads the Sec. 3 / Fig. 1 scenario.
@@ -325,8 +324,8 @@ func BenchmarkScalingSweep(b *testing.B) {
 }
 
 // reportReuse surfaces SolveCache effectiveness and encoding sizes as
-// benchmark metrics, so BENCH_<date>.json archives how big the live clause
-// databases were and how much preprocessing removed.
+// benchmark metrics, so each run prints how big the live clause databases
+// were and how much preprocessing removed.
 func reportReuse(b *testing.B, st muppet.ReuseStats) {
 	b.ReportMetric(float64(st.Reuses), "session-reuses")
 	if total := st.Translation.Hits() + st.Translation.Misses; total > 0 {
@@ -429,145 +428,6 @@ func BenchmarkAblationNoLearning(b *testing.B) {
 // factory.
 func BenchmarkAblationNoHashCons(b *testing.B) {
 	benchSolveWith(b, sat.Options{}, boolcirc.Options{NoHashCons: true})
-}
-
-// --- encoding ablations (DESIGN.md Sec. 11) ---
-
-// benchEncodingWith solves the Fig. 1 reconciliation under one encoding
-// configuration and reports the resulting encoding sizes, so the archived
-// bench JSON records the clause-count trajectory of each pipeline stage.
-// The preprocessing floor is lifted (SimpMinClauses: -1) so the simp
-// stage is measurable at walkthrough scale, where production solvers
-// would defer it.
-func benchEncodingWith(b *testing.B, satOpts sat.Options, cnfOpts boolcirc.CNFOptions) {
-	satOpts.SimpMinClauses = -1
-	_, f, bounds := fig1Problem(b)
-	var ss *relational.Session
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ss = relational.NewSessionWithOptions(bounds,
-			boolcirc.New(), sat.NewWithOptions(satOpts), cnfOpts)
-		ss.Assert(f)
-		if ss.Solve() != sat.Sat {
-			b.Fatal("expected SAT")
-		}
-	}
-	s := ss.Solver()
-	b.ReportMetric(float64(ss.CNF().Factory().NumNodes()), "circuit-nodes")
-	b.ReportMetric(float64(s.NumVars()), "solver-vars")
-	b.ReportMetric(float64(s.NumClauses()), "solver-clauses")
-	b.ReportMetric(float64(s.Stats.SimpVarsEliminated), "vars-eliminated")
-	b.ReportMetric(float64(s.Stats.SimpClausesRemoved), "clauses-removed")
-}
-
-// BenchmarkEncodingFull is the production pipeline: polarity-aware
-// Tseitin and CNF preprocessing both on.
-func BenchmarkEncodingFull(b *testing.B) {
-	benchEncodingWith(b, sat.Options{}, boolcirc.CNFOptions{})
-}
-
-// BenchmarkEncodingNoPolarity emits the full biconditional for every gate.
-func BenchmarkEncodingNoPolarity(b *testing.B) {
-	benchEncodingWith(b, sat.Options{}, boolcirc.CNFOptions{NoPolarity: true})
-}
-
-// BenchmarkEncodingNoSimp skips CNF preprocessing in the solver.
-func BenchmarkEncodingNoSimp(b *testing.B) {
-	benchEncodingWith(b, sat.Options{DisableSimp: true}, boolcirc.CNFOptions{})
-}
-
-// BenchmarkEncodingLegacy is the seed encoding: full Tseitin, no
-// preprocessing — the before side of every shrink comparison.
-func BenchmarkEncodingLegacy(b *testing.B) {
-	benchEncodingWith(b, sat.Options{DisableSimp: true},
-		boolcirc.CNFOptions{NoPolarity: true})
-}
-
-// BenchmarkEncodingTenantFleet measures the multi-tenant serving path: a
-// fleet of differently-sized synthetic tenants, each with its own
-// warm-cache pool on one shared ledger whose budget holds only about half
-// the fleet's warm sessions, so queries round-robining across tenants
-// continuously evict and rebuild sessions. ns/op is the per-query latency
-// of a budget-constrained fleet; the metrics record how much reuse
-// survives the eviction pressure.
-func BenchmarkEncodingTenantFleet(b *testing.B) {
-	const fleet = 8
-	type tenantBundle struct {
-		sys   *muppet.System
-		k8s   *muppet.Party
-		istio *muppet.Party
-		pool  *tenantpool.CachePool
-	}
-	mk := func(i int) (*muppet.System, *muppet.Party, *muppet.Party) {
-		sc := muppet.GenerateScenario(muppet.ScenarioParams{
-			Services:        3 + i%3,
-			PortsPerService: 2,
-			Flows:           3,
-			BannedPorts:     1,
-			Seed:            int64(101 + i),
-		})
-		sys, err := sc.System()
-		if err != nil {
-			b.Fatal(err)
-		}
-		k8sParty, _, err := muppet.NewK8sParty(sys, sc.K8sCurrent, muppet.AllSoft(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		istioParty, _, err := muppet.NewIstioParty(sys, sc.IstioCurrent, muppet.AllSoft(), sc.IstioRelaxed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys, k8sParty, istioParty
-	}
-	ctx := context.Background()
-	// Size the budget from one warm probe cache: room for roughly half the
-	// fleet's sessions, so the ledger must keep evicting.
-	sys0, k8s0, istio0 := mk(0)
-	probe := muppet.NewSolveCache()
-	if res := probe.LocalConsistencyCtx(ctx, sys0, k8s0, []*muppet.Party{istio0}, muppet.Budget{}); !res.OK {
-		b.Fatal("fleet scenario must be consistent")
-	}
-	ledger := tenantpool.NewLedger(probe.ApproxBytes() * fleet / 2)
-	bundles := make([]*tenantBundle, fleet)
-	for i := range bundles {
-		sys, k8sParty, istioParty := mk(i)
-		bundles[i] = &tenantBundle{sys: sys, k8s: k8sParty, istio: istioParty,
-			pool: ledger.NewPool(fmt.Sprintf("tenant-%02d", i))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bu := bundles[i%fleet]
-		c := bu.pool.Checkout()
-		res := c.LocalConsistencyCtx(ctx, bu.sys, bu.k8s, []*muppet.Party{bu.istio}, muppet.Budget{})
-		bu.pool.Checkin(c)
-		if !res.OK {
-			b.Fatal("fleet scenario must be consistent")
-		}
-	}
-	b.StopTimer()
-	// One deterministic closing sweep pins the final live-session set:
-	// without it the gauge metrics below (solver-clauses, cache-idle-bytes)
-	// depend on b.N mod fleet — whichever tenants happen to hold live
-	// sessions when the timer stops — and the bench-diff gate flaps across
-	// runs with different iteration counts. The sweep total exceeds the
-	// budget, so every pre-sweep session is evicted and the survivors are
-	// always the same suffix of the fleet.
-	for _, bu := range bundles {
-		c := bu.pool.Checkout()
-		res := c.LocalConsistencyCtx(ctx, bu.sys, bu.k8s, []*muppet.Party{bu.istio}, muppet.Budget{})
-		bu.pool.Checkin(c)
-		if !res.OK {
-			b.Fatal("fleet scenario must be consistent")
-		}
-	}
-	var agg muppet.ReuseStats
-	for _, bu := range bundles {
-		agg.Add(bu.pool.Stats().Reuse)
-	}
-	reportReuse(b, agg)
-	b.ReportMetric(float64(ledger.Evictions()), "cache-evictions")
-	b.ReportMetric(float64(ledger.TotalBytes()), "cache-idle-bytes")
 }
 
 // BenchmarkDeltaReconcile is the full-vs-delta pair for incremental

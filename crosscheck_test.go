@@ -9,11 +9,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"muppet"
+	"muppet/internal/boolcirc"
 	"muppet/internal/feder"
+	"muppet/internal/relational"
+	"muppet/internal/sat"
 	"muppet/internal/server"
 	tenantpool "muppet/internal/tenant"
 )
@@ -267,6 +271,76 @@ func TestMultiTenantServingMatchesColdExec(t *testing.T) {
 	}
 }
 
+// TestFig1EncodingSizes pins, per encoding configuration, the encoding of
+// the Fig. 1 reconciliation: exact sizes, so a collapse fails as loudly
+// as a blow-up, and allocations and bytes per build-and-solve within 25%
+// either side of the values recorded when the test was written.
+// Preprocessing is forced on (SimpMinClauses: -1) so the simp stage is
+// measurable at walkthrough scale, where production sessions defer it.
+func TestFig1EncodingSizes(t *testing.T) {
+	_, f, bounds := fig1Problem(t)
+	for _, c := range []struct {
+		name                                    string
+		sat                                     sat.Options
+		cnf                                     boolcirc.CNFOptions
+		clauses, varsEliminated, clausesRemoved int
+		allocs, bytes                           float64
+	}{
+		{"full", sat.Options{}, boolcirc.CNFOptions{}, 201, 191, 217, 5792, 751013},
+		{"no-polarity", sat.Options{}, boolcirc.CNFOptions{NoPolarity: true}, 260, 177, 393, 6349, 885228},
+		{"no-simp", sat.Options{DisableSimp: true}, boolcirc.CNFOptions{}, 492, 0, 0, 5181, 473920},
+		{"legacy", sat.Options{DisableSimp: true}, boolcirc.CNFOptions{NoPolarity: true}, 801, 0, 0, 5800, 532465},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := c.sat
+			opts.SimpMinClauses = -1
+			solve := func() *relational.Session {
+				ss := relational.NewSessionWithOptions(bounds, boolcirc.New(), sat.NewWithOptions(opts), c.cnf)
+				ss.Assert(f)
+				if ss.Solve() != sat.Sat {
+					t.Fatal("expected SAT")
+				}
+				return ss
+			}
+			ss := solve()
+			s := ss.Solver()
+			got := [5]int{ss.CNF().Factory().NumNodes(), s.NumVars(), s.NumClauses(),
+				int(s.Stats.SimpVarsEliminated), int(s.Stats.SimpClausesRemoved)}
+			want := [5]int{390, 377, c.clauses, c.varsEliminated, c.clausesRemoved}
+			if got != want {
+				t.Errorf("nodes, vars, clauses, vars eliminated, clauses removed = %v, want %v", got, want)
+			}
+			allocs := testing.AllocsPerRun(20, func() { solve() })
+			bytes := bytesPerRun(20, func() { solve() })
+			t.Logf("%.0f allocs, %.0f bytes per run", allocs, bytes)
+			checkWithin25(t, "allocs per run", allocs, c.allocs)
+			checkWithin25(t, "bytes per run", bytes, c.bytes)
+		})
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the mean bytes one
+// call of f allocates, measured at GOMAXPROCS=1 after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// checkWithin25 fails t unless got is within 25% of want either way.
+func checkWithin25(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if got < 0.75*want || got > 1.25*want {
+		t.Errorf("%s = %.0f, want %.0f ± 25%%", what, got, want)
+	}
+}
+
 // TestEncodingShrinks pins the headline claim: on a mid-size scenario the
 // full pipeline's post-preprocessing clause count is at least 30% below
 // the legacy (seed) encoding's.
@@ -308,6 +382,12 @@ func TestEncodingShrinks(t *testing.T) {
 	if reduction < 0.30 {
 		t.Fatalf("clause reduction %.1f%% below the 30%% target (full %d, legacy %d)",
 			100*reduction, full.SolverClauses, legacy.SolverClauses)
+	}
+	// The seed fixes the scenario, so the sizes are exact: a change that
+	// moves them updates this pin and says why.
+	if full.SolverClauses != 25098 || legacy.SolverClauses != 84763 {
+		t.Fatalf("full %d, legacy %d clauses, want exactly 25098 and 84763",
+			full.SolverClauses, legacy.SolverClauses)
 	}
 }
 

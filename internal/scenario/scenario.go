@@ -112,16 +112,18 @@ func Generate(p Params) *Scenario {
 		})
 	}
 
-	// Ban ports that goal flows actually use, so each ban conflicts.
+	// Ban ports that goal flows actually use, so each ban conflicts. Rows
+	// are emitted in first-use order: the goal order steers the search,
+	// so it must depend on the seed alone, never on map iteration.
 	banned := make(map[int]bool)
 	for _, f := range flows {
 		if len(banned) >= p.BannedPorts {
 			break
 		}
-		banned[f.port] = true
-	}
-	for port := range banned {
-		sc.K8sGoals = append(sc.K8sGoals, goals.K8sGoal{Port: port, Allow: false})
+		if !banned[f.port] {
+			banned[f.port] = true
+			sc.K8sGoals = append(sc.K8sGoals, goals.K8sGoal{Port: f.port, Allow: false})
+		}
 	}
 
 	// Goal tables.
