@@ -314,11 +314,12 @@ func registerAddr(fs *flag.FlagSet) *daemonFlags {
 	return d
 }
 
-// execute runs one mediation request: locally through server.Exec (the
-// same renderer the daemon uses, so both modes produce byte-identical
+// execute runs one mediation request: locally through server.ExecFed
+// (the same renderer the daemon uses, so both modes produce byte-identical
 // verdicts), or against a running daemon when addr is set. strategy is ""
-// for commands without a -strategy flag.
-func execute(ctx context.Context, in *inputs, lim *limits, strategy string, d *daemonFlags, req server.Request) error {
+// for commands without a -strategy flag; fed is non-nil when this process
+// coordinates a federated negotiation.
+func execute(ctx context.Context, in *inputs, lim *limits, strategy string, d *daemonFlags, req server.Request, fed *federation) error {
 	addr, tenantID := d.addr, d.tenantID
 	if addr != "" {
 		return clientExecute(ctx, addr, tenantID, lim, strategy, d.retries, req)
@@ -340,13 +341,28 @@ func execute(ctx context.Context, in *inputs, lim *limits, strategy string, d *d
 	if err != nil {
 		return err
 	}
+	var fopts *server.FedOptions
+	if fed != nil {
+		fopts = fed.options(d.retries)
+		if fed.transcriptPath != "" {
+			f, err := os.OpenFile(fed.transcriptPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			fopts.Transcript = feder.NewTranscriptWriter(f, []byte(fed.transcriptKey))
+		}
+	}
 	cache := muppet.NewSolveCache()
-	resp, err := server.Exec(ctx, st, cache, req, budget)
+	resp, err := server.ExecFed(ctx, st, cache, req, budget, fopts)
 	if err != nil {
 		return err
 	}
 	if lim.verbose {
 		printReuse(cache.Stats())
+		if fed != nil {
+			fed.print()
+		}
 	}
 	fmt.Print(resp.Output)
 	if resp.Code != exitSat {
@@ -392,7 +408,7 @@ func runCheck(ctx context.Context, args []string) error {
 	d := registerAddr(fs)
 	party := fs.String("party", "k8s", "party to check: k8s|istio")
 	fs.Parse(args)
-	return execute(ctx, &in, &lim, "", d, server.Request{Op: "check", Party: *party})
+	return execute(ctx, &in, &lim, "", d, server.Request{Op: "check", Party: *party}, nil)
 }
 
 func runEnvelope(ctx context.Context, args []string) error {
@@ -409,7 +425,7 @@ func runEnvelope(ctx context.Context, args []string) error {
 	fs.Parse(args)
 	return execute(ctx, &in, &lim, "", d, server.Request{
 		Op: "envelope", From: *from, To: *to, Leakage: *leakage, English: *english,
-	})
+	}, nil)
 }
 
 func runReconcile(ctx context.Context, args []string) error {
@@ -421,7 +437,7 @@ func runReconcile(ctx context.Context, args []string) error {
 	d := registerAddr(fs)
 	strategy := registerStrategy(fs)
 	fs.Parse(args)
-	return execute(ctx, &in, &lim, *strategy, d, server.Request{Op: "reconcile"})
+	return execute(ctx, &in, &lim, *strategy, d, server.Request{Op: "reconcile"}, nil)
 }
 
 func runConform(ctx context.Context, args []string) error {
@@ -434,7 +450,7 @@ func runConform(ctx context.Context, args []string) error {
 	provider := fs.String("provider", "k8s", "inflexible provider party")
 	strategy := registerStrategy(fs)
 	fs.Parse(args)
-	return execute(ctx, &in, &lim, *strategy, d, server.Request{Op: "conform", Provider: *provider})
+	return execute(ctx, &in, &lim, *strategy, d, server.Request{Op: "conform", Provider: *provider}, nil)
 }
 
 func runNegotiate(ctx context.Context, args []string) error {
@@ -458,84 +474,58 @@ func runNegotiate(ctx context.Context, args []string) error {
 		if *peers == "" {
 			return fmt.Errorf("%w: -federated needs -peers (name=url,...)", server.ErrUsage)
 		}
+		req.Peers = *peers
 		if d.addr != "" {
 			// A daemon coordinator is addressed by putting peers in the
 			// request body; the CLI's -federated mode coordinates locally.
-			req.Peers = *peers
-			return execute(ctx, &in, &lim, *strategy, d, req)
+			return execute(ctx, &in, &lim, *strategy, d, req, nil)
 		}
-		req.Peers = *peers
-		return runFederated(ctx, &in, &lim, *strategy, d.retries, *transcriptPath, *transcriptKey, req)
+		return execute(ctx, &in, &lim, *strategy, d, req,
+			&federation{transcriptPath: *transcriptPath, transcriptKey: *transcriptKey})
 	}
 	if *transcriptPath != "" {
 		return fmt.Errorf("%w: -transcript records federated negotiations; add -federated -peers", server.ErrUsage)
 	}
-	return execute(ctx, &in, &lim, *strategy, d, req)
+	return execute(ctx, &in, &lim, *strategy, d, req, nil)
 }
 
-// runFederated coordinates a federated negotiation from the CLI: the
-// local bundle provides the replicas, -peers names the remote mediators,
-// and the retry/breaker/transcript machinery reports into -v output.
-func runFederated(ctx context.Context, in *inputs, lim *limits, strategy string, retries int, transcriptPath, transcriptKey string, req server.Request) error {
-	if strategy != "" {
-		if err := applyStrategy(strategy); err != nil {
-			return err
-		}
+// federation is a federated negotiation this process coordinates: the
+// transcript it appends to and the counters -v reports.
+type federation struct {
+	transcriptPath, transcriptKey string
+
+	rounds   int
+	retries  map[string]int64
+	breakers map[string]string
+}
+
+// options wires the coordinator's robustness hooks to f's counters.
+func (f *federation) options(retries int) *server.FedOptions {
+	f.retries = make(map[string]int64)
+	f.breakers = make(map[string]string)
+	opts := &server.FedOptions{
+		Retries:   retries,
+		OnRound:   func() { f.rounds++ },
+		OnRetry:   func(peer string) { f.retries[peer]++ },
+		OnBreaker: func(peer string, bs feder.BreakerState) { f.breakers[peer] = bs.String() },
 	}
-	ctx, cancel, budget, err := lim.apply(ctx)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	st, err := in.load()
-	if err != nil {
-		return err
-	}
-	fopts := &server.FedOptions{Retries: retries}
 	if retries == 0 {
-		fopts.Retries = -1 // the flag's 0 means none; feder's 0 means default
+		opts.Retries = -1 // the flag's 0 means none; feder's 0 means default
 	}
-	var fedRounds int
-	fedRetries := make(map[string]int64)
-	fedBreakers := make(map[string]string)
-	fopts.OnRound = func() { fedRounds++ }
-	fopts.OnRetry = func(peer string) { fedRetries[peer]++ }
-	fopts.OnBreaker = func(peer string, bs feder.BreakerState) { fedBreakers[peer] = bs.String() }
-	if transcriptPath != "" {
-		f, err := os.OpenFile(transcriptPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		fopts.Transcript = feder.NewTranscriptWriter(f, []byte(transcriptKey))
-	}
-	cache := muppet.NewSolveCache()
-	resp, err := server.ExecFed(ctx, st, cache, req, budget, fopts)
-	if err != nil {
-		return err
-	}
-	if lim.verbose {
-		printReuse(cache.Stats())
-		printFed(fedRounds, fedRetries, fedBreakers)
-	}
-	fmt.Print(resp.Output)
-	if resp.Code != exitSat {
-		return statusErr(resp.Code)
-	}
-	return nil
+	return opts
 }
 
-// printFed reports the -v federation statistics: rounds driven, per-peer
+// print reports the -v federation statistics: rounds driven, per-peer
 // retry attempts, and where each peer's circuit breaker ended up.
-func printFed(rounds int, retries map[string]int64, breakers map[string]string) {
+func (f *federation) print() {
 	var parts []string
-	for _, peer := range sortedPeerNames(retries) {
-		parts = append(parts, fmt.Sprintf("%s=%d", peer, retries[peer]))
+	for _, peer := range sortedPeerNames(f.retries) {
+		parts = append(parts, fmt.Sprintf("%s=%d", peer, f.retries[peer]))
 	}
-	fmt.Printf("// fed: %d rounds; retries: %s\n", rounds, strings.Join(parts, " "))
+	fmt.Printf("// fed: %d rounds; retries: %s\n", f.rounds, strings.Join(parts, " "))
 	parts = parts[:0]
-	for _, peer := range sortedPeerNames(breakers) {
-		parts = append(parts, fmt.Sprintf("%s=%s", peer, breakers[peer]))
+	for _, peer := range sortedPeerNames(f.breakers) {
+		parts = append(parts, fmt.Sprintf("%s=%s", peer, f.breakers[peer]))
 	}
 	fmt.Printf("// fed: breakers: %s\n", strings.Join(parts, " "))
 }

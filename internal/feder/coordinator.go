@@ -6,87 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"net/http"
 	"strings"
 	"time"
 
 	"muppet"
 )
-
-// Reason classifies how a federated negotiation ended. It extends the
-// single-process TerminalReason vocabulary with the distributed failure
-// mode: a peer that stayed unreachable through retries and breaker
-// probes. String values match TerminalReason's so renderings of the
-// shared outcomes are byte-identical.
-type Reason int
-
-// Reason values.
-const (
-	FedReconciled Reason = iota
-	FedExhaustedRounds
-	FedAllStuck
-	FedIndeterminate
-	FedPeerUnreachable
-)
-
-func (r Reason) String() string {
-	switch r {
-	case FedReconciled:
-		return "reconciled"
-	case FedExhaustedRounds:
-		return "exhausted-rounds"
-	case FedAllStuck:
-		return "all-stuck"
-	case FedPeerUnreachable:
-		return "peer-unreachable"
-	default:
-		return "indeterminate"
-	}
-}
-
-// fedReason maps a single-process terminal reason onto the federated
-// vocabulary.
-func fedReason(r muppet.TerminalReason) Reason {
-	switch r {
-	case muppet.ReasonReconciled:
-		return FedReconciled
-	case muppet.ReasonExhaustedRounds:
-		return FedExhaustedRounds
-	case muppet.ReasonAllStuck:
-		return FedAllStuck
-	}
-	return FedIndeterminate
-}
-
-// RoundResult mirrors muppet.RoundReport for one federated round.
-type RoundResult struct {
-	Round            int
-	Party            string
-	ConformedAlready bool
-	Revised          bool
-	Edits            []muppet.Edit
-	Stuck            bool
-	Indeterminate    bool
-	Feedback         *muppet.Feedback
-	Reconciled       bool
-}
-
-// Outcome summarizes a federated negotiation. On FedPeerUnreachable the
-// rounds completed so far and the replicas' current configurations are
-// the best-so-far partial agreement — reported, never torn down.
-type Outcome struct {
-	Reconciled       bool
-	InitialReconcile bool
-	Reason           Reason
-	Stop             muppet.StopReason
-	Rounds           []*RoundResult
-	Feedback         *muppet.Feedback
-
-	// FailedPeer and PeerErr name the peer whose unavailability ended
-	// the run (Reason == FedPeerUnreachable).
-	FailedPeer string
-	PeerErr    error
-}
 
 // PeerRef names one peer mediator: the party it negotiates for and the
 // base URL its /fed/ endpoints live under.
@@ -97,19 +21,16 @@ type PeerRef struct {
 
 // Options tune the coordinator's robustness machinery. The zero value
 // gives sensible defaults (2 retries, 50 ms base backoff, breaker after
-// 3 consecutive failures with a 1 s cooldown, no deadlines).
+// 3 consecutive failures with a 1 s cooldown). Deadlines come from the
+// context and budget passed to Run.
 type Options struct {
 	Rounds           int           // max revision rounds (0 = 2 cycles)
 	Retries          int           // per-call retries (-1 = none, 0 = default 2)
 	BackoffBase      time.Duration // first retry delay (0 = 50 ms)
 	BackoffMax       time.Duration // backoff cap (0 = 2 s)
-	AttemptTimeout   time.Duration // per-HTTP-attempt cap (0 = none)
-	RoundTimeout     time.Duration // per-round deadline (0 = none)
-	TotalTimeout     time.Duration // whole-negotiation deadline (0 = none)
 	BreakerThreshold int           // consecutive failures to open (0 = 3)
 	BreakerCooldown  time.Duration // open → half-open delay (0 = 1 s)
 	Seed             int64         // jitter seed (reproducible tests)
-	HTTPClient       *http.Client  // nil = default client
 	Transcript       *TranscriptWriter
 	OnRetry          func(peer string)                  // metrics hook
 	OnRound          func()                             // metrics hook: one round driven
@@ -119,9 +40,9 @@ type Options struct {
 // Coordinator is the paper's trusted mediator running the Fig. 9 loop
 // over remote parties. It holds local replicas of every party (goals and
 // all — the mediator is trusted; party-to-party privacy is what the
-// protocol preserves) and mirrors Negotiation.RunCtx exactly: joint
+// protocol preserves) and runs muppet.Negotiation over them: joint
 // reconciles and merged envelopes are computed locally, while each
-// acting party's minimal-edit revision runs remotely on its own daemon.
+// acting party's revision turn runs remotely on its own daemon.
 type Coordinator struct {
 	sys      *muppet.System
 	vocab    *Vocab
@@ -181,10 +102,6 @@ func NewCoordinator(sys *muppet.System, replicas []*LocalParty, peers []PeerRef,
 		if opts.BackoffMax > 0 {
 			cl.BackoffMax = opts.BackoffMax
 		}
-		cl.AttemptTimeout = opts.AttemptTimeout
-		if opts.HTTPClient != nil {
-			cl.HTTP = opts.HTTPClient
-		}
 		cl.OnRetry = opts.OnRetry
 		c.clients = append(c.clients, cl)
 	}
@@ -205,7 +122,6 @@ func (c *Coordinator) Session() string { return c.session }
 
 // Stats reports the run's robustness counters for observability.
 type Stats struct {
-	Rounds   int                     // revision rounds driven
 	Retries  map[string]int64        // per-peer retry attempts
 	Breakers map[string]BreakerState // per-peer breaker position
 }
@@ -228,16 +144,6 @@ func (c *Coordinator) parties() []*muppet.Party {
 	return ps
 }
 
-func (c *Coordinator) others(i int) []*muppet.Party {
-	out := make([]*muppet.Party, 0, len(c.replicas)-1)
-	for j, lp := range c.replicas {
-		if j != i {
-			out = append(out, lp.P)
-		}
-	}
-	return out
-}
-
 func (c *Coordinator) otherOffers(i int) []WireOffer {
 	out := make([]WireOffer, 0, len(c.replicas)-1)
 	for j, lp := range c.replicas {
@@ -254,14 +160,6 @@ func (c *Coordinator) transcribe(kind, peer string, round int, payload any) {
 		// verify step will catch the truncated chain.
 		_ = c.opts.Transcript.Append(kind, peer, round, payload)
 	}
-}
-
-// roundCtx derives the per-round deadline.
-func (c *Coordinator) roundCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.opts.RoundTimeout > 0 {
-		return context.WithTimeout(ctx, c.opts.RoundTimeout)
-	}
-	return ctx, func() {}
 }
 
 // serializeBudget turns the coordinator's remaining budget into wire
@@ -357,14 +255,23 @@ func (c *Coordinator) sync(ctx context.Context, i, round int) error {
 	return nil
 }
 
-// envelopeRound ships the merged envelope to the acting peer and returns
-// its counter-offer. A peer that restarted mid-round (unknown session)
-// is rejoined, resynchronized, and asked once more.
-func (c *Coordinator) envelopeRound(ctx context.Context, i, round int, env *muppet.Envelope, b muppet.Budget) (CounterOffer, error) {
+// turn is party i's revision turn (muppet.Turn), served by its peer: a
+// digest sync heals a restarted or drifted peer before solver time is
+// spent, the envelope round asks for the counter-offer, and a revised
+// configuration is installed into the replica. A peer that restarted
+// mid-round (unknown session) is rejoined, resynchronized, and asked once
+// more.
+func (c *Coordinator) turn(ctx context.Context, round, i int, env *muppet.Envelope, b muppet.Budget) (*muppet.Result, error) {
+	if c.opts.OnRound != nil {
+		c.opts.OnRound()
+	}
+	if err := c.sync(ctx, i, round); err != nil {
+		return nil, err
+	}
 	lp, cl := c.replicas[i], c.clients[i]
 	wenv, err := c.vocab.EncodeEnvelope(env)
 	if err != nil {
-		return CounterOffer{}, err
+		return nil, err
 	}
 	millis, conflicts, props := serializeBudget(b)
 	req := EnvelopeRequest{
@@ -386,10 +293,34 @@ func (c *Coordinator) envelopeRound(ctx context.Context, i, round int, env *mupp
 		}
 	}
 	if err != nil {
-		return CounterOffer{}, err
+		return nil, err
 	}
 	c.transcribe("counter", lp.P.Name, round, co)
-	return co, nil
+
+	malformed := func(err error) (*muppet.Result, error) {
+		return nil, &PeerError{Peer: lp.P.Name, Op: "envelope", Code: ErrCodeInternal, Err: err}
+	}
+	switch co.Result {
+	case ResultConformed:
+		return nil, nil
+	case ResultIndeterminate:
+		return &muppet.Result{Indeterminate: true, Stop: muppet.StopReason(co.Stop)}, nil
+	case ResultStuck:
+		stuck := &muppet.Result{}
+		if len(co.Feedback) > 0 {
+			stuck.Feedback = &muppet.Feedback{Core: co.Feedback}
+		}
+		return stuck, nil
+	case ResultRevised:
+		if co.Offer == nil {
+			return malformed(errors.New("revised counter-offer without a configuration"))
+		}
+		if err := lp.Install(*co.Offer); err != nil {
+			return malformed(err)
+		}
+		return &muppet.Result{OK: true, Edits: DecodeEdits(co.Edits)}, nil
+	}
+	return malformed(fmt.Errorf("unknown counter-offer result %q", co.Result))
 }
 
 func (c *Coordinator) maxRounds() int {
@@ -399,211 +330,80 @@ func (c *Coordinator) maxRounds() int {
 	return 2 * len(c.replicas)
 }
 
-// installAll delivers the reconciled agreement to every peer and checks
-// the echoed digests: a mismatch means a torn install, reported rather
-// than silently accepted.
-func (c *Coordinator) installAll(ctx context.Context, round int) error {
-	for i, lp := range c.replicas {
-		snap := lp.Snapshot()
-		var ir InstallResponse
-		err := c.clients[i].Call(ctx, "install", InstallRequest{
-			Session: c.session,
-			Idem:    fmt.Sprintf("%s/final/%d/%d", c.session, round, i),
-			Offer:   snap,
-			Final:   true,
-		}, &ir)
-		if isUnknownSession(err) {
-			if err = c.join(ctx, i, round); err == nil {
-				// join resyncs from the replica, which already holds the
-				// final agreement; nothing further to install.
-				err = nil
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if ir.Digest != "" && ir.Digest != snap.Digest() {
-			return &PeerError{Peer: c.clients[i].Name, Op: "install", Code: ErrCodeInternal,
-				Err: errors.New("torn final install")}
-		}
+// install delivers the reconciled agreement to peer i and checks the
+// echoed digest: a mismatch means a torn install, reported rather than
+// silently accepted.
+func (c *Coordinator) install(ctx context.Context, i, round int) error {
+	snap := c.replicas[i].Snapshot()
+	var ir InstallResponse
+	err := c.clients[i].Call(ctx, "install", InstallRequest{
+		Session: c.session,
+		Idem:    fmt.Sprintf("%s/final/%d/%d", c.session, round, i),
+		Offer:   snap,
+		Final:   true,
+	}, &ir)
+	if isUnknownSession(err) {
+		// join resyncs from the replica, which already holds the final
+		// agreement; nothing further to install.
+		return c.join(ctx, i, round)
+	}
+	if err != nil {
+		return err
+	}
+	if ir.Digest != "" && ir.Digest != snap.Digest() {
+		return &PeerError{Peer: c.clients[i].Name, Op: "install", Code: ErrCodeInternal,
+			Err: errors.New("torn final install")}
 	}
 	return nil
 }
 
-// Run drives the federated negotiation to completion, mirroring
-// Negotiation.RunCtx step for step. Every solver call sees the problem
-// the single-process loop would, so the final agreement and round count
-// are byte-identical on the same bundle split. Failures degrade to typed
-// outcomes: the rounds completed so far and the replicas' configurations
-// are always intact.
-func (c *Coordinator) Run(ctx context.Context, b muppet.Budget) *Outcome {
+// Run joins every peer, runs muppet.Negotiation over the replicas with
+// each party's revision turn served by its peer, and delivers a
+// reconciled agreement to every peer. The loop is the single-process one,
+// so the outcome and the replicas' final configurations are those of an
+// in-process negotiation on the same bundle split. A failed join, turn or
+// delivery ends the run as ReasonUnreachable naming the party; the rounds
+// so far and the replicas' configurations are the best-so-far partial
+// agreement, reported, never torn down.
+func (c *Coordinator) Run(ctx context.Context, b muppet.Budget) *muppet.NegotiationOutcome {
 	defer c.publishBreakers()
-	if c.opts.TotalTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.TotalTimeout)
-		defer cancel()
-		b = b.WithTimeout(c.opts.TotalTimeout)
+	o := c.run(ctx, b)
+	payload := map[string]any{"reason": o.Reason.String()}
+	if o.InitialReconcile {
+		payload["initial"] = true
 	}
-
-	out := &Outcome{}
-
-	indeterminate := func(rep *RoundResult, stop muppet.StopReason) *Outcome {
-		if rep != nil {
-			rep.Indeterminate = true
-		}
-		out.Reason = FedIndeterminate
-		out.Stop = stop
-		out.Feedback = nil
-		c.transcribe("outcome", "", 0, map[string]any{"reason": out.Reason.String(), "stop": fmt.Sprint(stop)})
-		return out
+	switch o.Reason {
+	case muppet.ReasonIndeterminate:
+		payload["stop"] = fmt.Sprint(o.Stop)
+	case muppet.ReasonUnreachable:
+		payload["error"] = o.Err.Error()
 	}
-	unreachable := func(rep *RoundResult, peer string, err error) *Outcome {
-		if rep != nil {
-			rep.Indeterminate = true
-		}
-		out.Reason = FedPeerUnreachable
-		out.FailedPeer = peer
-		out.PeerErr = err
-		out.Feedback = nil
-		c.transcribe("outcome", peer, 0, map[string]any{"reason": out.Reason.String(), "error": err.Error()})
-		return out
-	}
+	c.transcribe("outcome", o.FailedParty, len(o.Rounds), payload)
+	return o
+}
 
+func (c *Coordinator) run(ctx context.Context, b muppet.Budget) *muppet.NegotiationOutcome {
 	// Session setup: every peer joins, proves vocabulary equality, and
 	// is resynchronized if its configuration drifted from the replica.
-	for i := range c.replicas {
-		jctx, cancel := c.roundCtx(ctx)
-		err := c.join(jctx, i, 0)
-		cancel()
-		if err != nil {
-			return unreachable(nil, c.replicas[i].P.Name, err)
+	for i, lp := range c.replicas {
+		if err := c.join(ctx, i, 0); err != nil {
+			return (&muppet.NegotiationOutcome{}).Unreachable(lp.P.Name, err)
 		}
 	}
-
-	// Reconcile initial offers (top of Fig. 9) — at the mediator, which
-	// is the only place all parties' goals coexist.
-	rec := c.cache.ReconcileCtx(ctx, c.sys, c.parties(), b)
-	if rec.Indeterminate {
-		return indeterminate(nil, rec.Stop)
+	n := muppet.NewNegotiation(c.sys, c.parties()...).UseCache(c.cache)
+	n.MaxRounds = c.maxRounds()
+	n.Turn = c.turn
+	o := n.RunCtx(ctx, b)
+	if o.Reconciled {
+		for i, lp := range c.replicas {
+			if err := c.install(ctx, i, len(o.Rounds)); err != nil {
+				// The replicas hold the agreement; only its delivery
+				// failed, so the operator retries delivery.
+				return o.Unreachable(lp.P.Name, err)
+			}
+		}
 	}
-	if rec.OK {
-		c.adoptAll(rec)
-		out.Reconciled = true
-		out.InitialReconcile = true
-		out.Reason = FedReconciled
-		if err := c.installAll(ctx, 0); err != nil {
-			var pe *PeerError
-			peer := ""
-			if errors.As(err, &pe) {
-				peer = pe.Peer
-			}
-			return unreachable(nil, peer, err)
-		}
-		c.transcribe("outcome", "", 0, map[string]any{"reason": out.Reason.String(), "initial": true})
-		return out
-	}
-	out.Feedback = rec.Feedback
-
-	stuckStreak := 0
-	for round := 1; round <= c.maxRounds(); round++ {
-		i := (round - 1) % len(c.replicas)
-		lp := c.replicas[i]
-		rep := &RoundResult{Round: round, Party: lp.P.Name}
-		out.Rounds = append(out.Rounds, rep)
-		if c.opts.OnRound != nil {
-			c.opts.OnRound()
-		}
-
-		rctx, cancel := c.roundCtx(ctx)
-
-		// Propose: cheap digest sync with the acting peer, healing
-		// restarts before solver time is spent.
-		if err := c.sync(rctx, i, round); err != nil {
-			cancel()
-			return unreachable(rep, lp.P.Name, err)
-		}
-
-		// Merged envelope for the acting party, computed by the same
-		// code path the single-process loop uses (per-sender envelopes
-		// do not compose when sender domains overlap).
-		env, err := muppet.ComputeEnvelopeCtx(rctx, c.sys, lp.P, c.others(i))
-		if err != nil {
-			cancel()
-			return indeterminate(rep, muppet.StopCancelled)
-		}
-
-		co, perr := c.envelopeRound(rctx, i, round, env, b)
-		cancel()
-		if perr != nil {
-			return unreachable(rep, lp.P.Name, perr)
-		}
-
-		switch co.Result {
-		case ResultConformed:
-			rep.ConformedAlready = true
-		case ResultIndeterminate:
-			return indeterminate(rep, muppet.StopReason(co.Stop))
-		case ResultStuck:
-			rep.Stuck = true
-			if len(co.Feedback) > 0 {
-				rep.Feedback = &muppet.Feedback{Core: co.Feedback}
-			}
-			out.Feedback = rep.Feedback
-			stuckStreak++
-			if stuckStreak >= len(c.replicas) {
-				out.Reason = FedAllStuck
-				c.transcribe("outcome", "", round, map[string]any{"reason": out.Reason.String()})
-				return out
-			}
-			continue
-		case ResultRevised:
-			rep.Revised = true
-			rep.Edits = DecodeEdits(co.Edits)
-			if co.Offer == nil {
-				return unreachable(rep, lp.P.Name, &PeerError{Peer: lp.P.Name, Op: "envelope",
-					Code: ErrCodeInternal, Err: errors.New("revised counter-offer without a configuration")})
-			}
-			if err := lp.Install(*co.Offer); err != nil {
-				return unreachable(rep, lp.P.Name, &PeerError{Peer: lp.P.Name, Op: "envelope",
-					Code: ErrCodeInternal, Err: err})
-			}
-		default:
-			return unreachable(rep, lp.P.Name, &PeerError{Peer: lp.P.Name, Op: "envelope",
-				Code: ErrCodeInternal, Err: fmt.Errorf("unknown counter-offer result %q", co.Result)})
-		}
-		stuckStreak = 0
-
-		rec := c.cache.ReconcileCtx(ctx, c.sys, c.parties(), b)
-		if rec.Indeterminate {
-			return indeterminate(rep, rec.Stop)
-		}
-		rep.Reconciled = rec.OK
-		if rec.OK {
-			c.adoptAll(rec)
-			out.Reconciled = true
-			out.Reason = FedReconciled
-			out.Feedback = nil
-			if err := c.installAll(ctx, round); err != nil {
-				var pe *PeerError
-				peer := ""
-				if errors.As(err, &pe) {
-					peer = pe.Peer
-				}
-				// The agreement is reached and held by the replicas;
-				// only delivery failed. Report it as unreachable so the
-				// operator retries delivery, without discarding rounds.
-				out.Reconciled = false
-				return unreachable(nil, peer, err)
-			}
-			c.transcribe("outcome", "", round, map[string]any{"reason": out.Reason.String(), "rounds": len(out.Rounds)})
-			return out
-		}
-		rep.Feedback = rec.Feedback
-		out.Feedback = rec.Feedback
-	}
-	out.Reason = FedExhaustedRounds
-	c.transcribe("outcome", "", 0, map[string]any{"reason": out.Reason.String()})
-	return out
+	return o
 }
 
 // publishBreakers reports each peer's final breaker position.
@@ -613,13 +413,5 @@ func (c *Coordinator) publishBreakers() {
 	}
 	for _, cl := range c.clients {
 		c.opts.OnBreaker(cl.Name, cl.Breaker.State())
-	}
-}
-
-// adoptAll mirrors Negotiation.adoptAll: the reconciled joint instance
-// becomes every replica's configuration.
-func (c *Coordinator) adoptAll(rec *muppet.Result) {
-	for _, lp := range c.replicas {
-		lp.P.Adopt(rec.Instance)
 	}
 }

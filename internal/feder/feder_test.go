@@ -1,5 +1,5 @@
 // Integration and chaos tests for the federated negotiation protocol:
-// loopback peers served over real HTTP, a coordinator mirroring the
+// loopback peers served over real HTTP, a coordinator running the
 // single-process loop, deterministic fault injection, peer restarts, and
 // breaker behaviour against a dead peer. External test package so it can
 // drive the server-layer state loader without an import cycle.
@@ -71,7 +71,7 @@ func startPeer(t *testing.T, st *server.State, kind string, hooks feder.PeerHook
 }
 
 // fastOpts keeps retry/breaker machinery on but makes its delays test-
-// sized. TotalTimeout is a hang guard, far above any real run.
+// sized.
 func fastOpts() feder.Options {
 	return feder.Options{
 		Retries:          4,
@@ -79,9 +79,17 @@ func fastOpts() feder.Options {
 		BackoffMax:       5 * time.Millisecond,
 		BreakerThreshold: 6,
 		BreakerCooldown:  20 * time.Millisecond,
-		TotalTimeout:     2 * time.Minute,
 		Seed:             7,
 	}
+}
+
+// hangGuard bounds a coordinator run, through its context and its solver
+// budget, far above any real run.
+func hangGuard(t *testing.T) (context.Context, muppet.Budget) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	t.Cleanup(cancel)
+	deadline, _ := ctx.Deadline()
+	return ctx, muppet.Budget{Deadline: deadline}
 }
 
 func newCoordinator(t *testing.T, st *server.State, k8sURL, istioURL string, opts feder.Options) (*feder.Coordinator, []*feder.LocalParty) {
@@ -115,7 +123,7 @@ func singleProcess(t *testing.T, strict bool) (*muppet.NegotiationOutcome, strin
 
 // requireParity asserts a federated outcome matches the single-process
 // baseline round for round.
-func requireParity(t *testing.T, fed *feder.Outcome, base *muppet.NegotiationOutcome) {
+func requireParity(t *testing.T, fed, base *muppet.NegotiationOutcome) {
 	t.Helper()
 	if fed.Reconciled != base.Reconciled || fed.InitialReconcile != base.InitialReconcile {
 		t.Fatalf("reconciled %v/%v, single-process %v/%v",
@@ -181,7 +189,7 @@ func TestFederatedMatchesSingleProcess(t *testing.T) {
 			opts.Transcript = feder.NewTranscriptWriter(&transcript, key)
 			co, replicas := newCoordinator(t, fedState(t, tc.strict), k8sSrv.URL, istioSrv.URL, opts)
 
-			fed := co.Run(context.Background(), muppet.Budget{})
+			fed := co.Run(hangGuard(t))
 			requireParity(t, fed, base)
 			if got := replicas[0].P.Describe(); got != baseK8s {
 				t.Fatalf("K8s replica diverged:\n--- federated ---\n%s\n--- single-process ---\n%s", got, baseK8s)
@@ -208,6 +216,50 @@ func TestFederatedMatchesSingleProcess(t *testing.T) {
 				t.Fatalf("healthy run left breakers %v", st.Breakers)
 			}
 		})
+	}
+}
+
+// TestFederatedRevisionsMatchSingleProcess starts Fig. 9 from the pushed
+// port-23 ban with soft offers against the strict Istio goals, where the
+// parties revise with real edits. The coordinator must replay the
+// single-process rounds and final configurations, so every remote
+// counter-offer must reach the replica that the next envelope and
+// reconcile are computed from.
+func TestFederatedRevisionsMatchSingleProcess(t *testing.T) {
+	pushed := func() *server.State {
+		cfg := fedConfig(true)
+		cfg.K8sOffer = "soft"
+		st, err := server.Load(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Bundle.K8s.Policy("cluster-default").IngressDenyPorts = []int{23}
+		return st
+	}
+	st := pushed()
+	k8s, istio, err := st.FreshParties()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := muppet.NewNegotiation(st.Sys, k8s, istio).Run()
+	edits := 0
+	for _, r := range base.Rounds {
+		edits += len(r.Edits)
+	}
+	if edits == 0 {
+		t.Fatal("no round revised with edits; the test exercised nothing")
+	}
+
+	k8sSrv := startPeer(t, pushed(), "k8s", feder.PeerHooks{}, nil)
+	istioSrv := startPeer(t, pushed(), "istio", feder.PeerHooks{}, nil)
+	co, replicas := newCoordinator(t, pushed(), k8sSrv.URL, istioSrv.URL, fastOpts())
+	fed := co.Run(hangGuard(t))
+	requireParity(t, fed, base)
+	if got, want := replicas[0].P.Describe(), k8s.Describe(); got != want {
+		t.Fatalf("K8s replica diverged:\n--- federated ---\n%s\n--- single-process ---\n%s", got, want)
+	}
+	if got, want := replicas[1].P.Describe(), istio.Describe(); got != want {
+		t.Fatalf("Istio replica diverged:\n--- federated ---\n%s\n--- single-process ---\n%s", got, want)
 	}
 }
 
@@ -253,12 +305,12 @@ func TestFederatedChaos(t *testing.T) {
 			opts.Transcript = feder.NewTranscriptWriter(&transcript, key)
 			co, replicas := newCoordinator(t, fedState(t, true), k8sSrv.URL, istioSrv.URL, opts)
 
-			fed := co.Run(context.Background(), muppet.Budget{})
+			fed := co.Run(hangGuard(t))
 			switch fed.Reason {
-			case feder.FedPeerUnreachable:
+			case muppet.ReasonUnreachable:
 				// Typed degradation: the failing peer is named, the error
 				// typed, and the best-so-far state intact.
-				if fed.FailedPeer == "" || fed.PeerErr == nil {
+				if fed.FailedParty == "" || fed.Err == nil {
 					t.Fatalf("unreachable outcome without peer attribution: %+v", fed)
 				}
 				if len(fed.Rounds) > len(base.Rounds) {
@@ -352,7 +404,7 @@ func TestFederatedPeerRestart(t *testing.T) {
 	opts.Transcript = feder.NewTranscriptWriter(&transcript, key)
 	co, replicas := newCoordinator(t, fedState(t, true), k8sSrv.URL, istioSrv.URL, opts)
 
-	fed := co.Run(context.Background(), muppet.Budget{})
+	fed := co.Run(hangGuard(t))
 	if !restarted {
 		t.Fatal("the K8s peer never restarted; the test exercised nothing")
 	}
@@ -397,16 +449,16 @@ func TestFederatedDeadPeerOpensBreaker(t *testing.T) {
 	opts.BreakerCooldown = time.Hour // keep the breaker visibly open
 	co, _ := newCoordinator(t, fedState(t, true), k8sSrv.URL, dead.URL, opts)
 
-	fed := co.Run(context.Background(), muppet.Budget{})
-	if fed.Reason != feder.FedPeerUnreachable {
+	fed := co.Run(hangGuard(t))
+	if fed.Reason != muppet.ReasonUnreachable {
 		t.Fatalf("reason %v, want peer-unreachable", fed.Reason)
 	}
-	if fed.FailedPeer != "Istio" {
-		t.Fatalf("failed peer %q, want Istio", fed.FailedPeer)
+	if fed.FailedParty != "Istio" {
+		t.Fatalf("failed peer %q, want Istio", fed.FailedParty)
 	}
 	var pe *feder.PeerError
-	if !errors.As(fed.PeerErr, &pe) || pe.Status != http.StatusInternalServerError {
-		t.Fatalf("peer error %v, want a typed 500 PeerError", fed.PeerErr)
+	if !errors.As(fed.Err, &pe) || pe.Status != http.StatusInternalServerError {
+		t.Fatalf("peer error %v, want a typed 500 PeerError", fed.Err)
 	}
 	st := co.Stats()
 	if st.Breakers["Istio"] != feder.BreakerOpen {
@@ -422,6 +474,58 @@ func TestFederatedDeadPeerOpensBreaker(t *testing.T) {
 	defer mu.Unlock()
 	if calls != 3 {
 		t.Fatalf("dead peer saw %d calls, want retries+1 = 3", calls)
+	}
+}
+
+// TestFederatedDeliveryFailure reaches the relaxed agreement on the
+// initial reconcile, then cannot deliver it: the Istio peer's /fed/install
+// always answers 500. The run must report the undelivered agreement as
+// unreachable, never as reconciled, with the replicas holding it, and
+// the daemon renderer must report it degraded.
+func TestFederatedDeliveryFailure(t *testing.T) {
+	_, baseK8s, baseIstio := singleProcess(t, false)
+	failInstall := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/fed/install" {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusInternalServerError)
+				w.Write([]byte(`{"error":"disk full","code":"internal"}`))
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	k8sSrv := startPeer(t, fedState(t, false), "k8s", feder.PeerHooks{}, nil)
+	istioSrv := startPeer(t, fedState(t, false), "istio", feder.PeerHooks{}, failInstall)
+
+	co, replicas := newCoordinator(t, fedState(t, false), k8sSrv.URL, istioSrv.URL, fastOpts())
+	fed := co.Run(hangGuard(t))
+	if fed.Reason != muppet.ReasonUnreachable || fed.Reconciled {
+		t.Fatalf("reason %v reconciled=%v, want peer-unreachable and not reconciled", fed.Reason, fed.Reconciled)
+	}
+	if fed.FailedParty != "Istio" {
+		t.Fatalf("failed party %q, want Istio", fed.FailedParty)
+	}
+	var pe *feder.PeerError
+	if !errors.As(fed.Err, &pe) || pe.Status != http.StatusInternalServerError {
+		t.Fatalf("peer error %v, want a typed 500 PeerError", fed.Err)
+	}
+	if got := replicas[0].P.Describe(); got != baseK8s {
+		t.Fatalf("K8s replica does not hold the agreement:\n%s", got)
+	}
+	if got := replicas[1].P.Describe(); got != baseIstio {
+		t.Fatalf("Istio replica does not hold the agreement:\n%s", got)
+	}
+
+	ctx, b := hangGuard(t)
+	opts := fastOpts()
+	resp, err := server.ExecFed(ctx, fedState(t, false), nil,
+		server.Request{Op: "negotiate", Peers: "k8s=" + k8sSrv.URL + ",istio=" + istioSrv.URL}, b, &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Code != server.CodeIndeterminate || !strings.Contains(resp.Output, "NEGOTIATION DEGRADED") {
+		t.Fatalf("code %d, want %d with a degraded report:\n%s", resp.Code, server.CodeIndeterminate, resp.Output)
 	}
 }
 

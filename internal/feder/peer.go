@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"muppet"
-	"muppet/internal/relational"
 )
 
 // PeerHooks are optional observability callbacks for a peer mediator
@@ -281,25 +280,22 @@ func (p *Peer) serveEnvelope(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, co)
 }
 
-// counterOffer runs the acting party's half of one negotiation round,
-// mirroring the revision arm of Negotiation.RunCtx exactly.
+// counterOffer runs the acting party's revision turn of one negotiation
+// round: the Fig. 8 revision aid Negotiation.RunCtx runs in process.
 func (p *Peer) counterOffer(ctx context.Context, s *fedSession, env *muppet.Envelope, others []*muppet.Party, b muppet.Budget) CounterOffer {
-	if ok, _ := muppet.CheckCandidate(p.sys, s.lp.P, env, true, others...); ok {
+	revision := s.cache.Revise(ctx, p.sys, s.lp.P, env, b, others...)
+	switch {
+	case revision == nil:
 		return CounterOffer{Result: ResultConformed}
-	}
-	constraints := append([]relational.Formula{env.Formula()}, s.lp.P.GoalFormulas()...)
-	revision := s.cache.MinimalEditCtx(ctx, p.sys, s.lp.P, constraints, b, others...)
-	if revision.Indeterminate {
+	case revision.Indeterminate:
 		return CounterOffer{Result: ResultIndeterminate, Stop: int(revision.Stop)}
-	}
-	if !revision.OK {
+	case !revision.OK:
 		var core []string
 		if revision.Feedback != nil {
 			core = revision.Feedback.Core
 		}
 		return CounterOffer{Result: ResultStuck, Feedback: core}
 	}
-	s.lp.P.Adopt(revision.Instance)
 	snap := s.lp.Snapshot()
 	return CounterOffer{Result: ResultRevised, Offer: &snap, Edits: EncodeEdits(revision.Edits)}
 }

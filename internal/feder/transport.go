@@ -95,12 +95,11 @@ type PeerClient struct {
 	Name    string // party name the peer claims
 	BaseURL string // e.g. http://127.0.0.1:7001
 
-	HTTP           *http.Client
-	Retries        int           // retry attempts after the first call
-	BackoffBase    time.Duration // first retry delay
-	BackoffMax     time.Duration
-	AttemptTimeout time.Duration // per-attempt cap (0 = ctx only)
-	Breaker        *Breaker
+	HTTP        *http.Client
+	Retries     int           // retry attempts after the first call
+	BackoffBase time.Duration // first retry delay
+	BackoffMax  time.Duration
+	Breaker     *Breaker
 
 	// OnRetry is invoked before each retry sleep (metrics hook).
 	OnRetry func(peer string)
@@ -199,13 +198,7 @@ func (c *PeerClient) Call(ctx context.Context, op string, in, out any) error {
 }
 
 func (c *PeerClient) attempt(ctx context.Context, op string, body []byte, out any) *PeerError {
-	actx := ctx
-	if c.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.AttemptTimeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.BaseURL+"/fed/"+op, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/fed/"+op, bytes.NewReader(body))
 	if err != nil {
 		return &PeerError{Peer: c.Name, Op: op, Err: err}
 	}

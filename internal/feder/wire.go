@@ -5,21 +5,20 @@
 // HTTP, exchanging envelopes (Alg. 3's necessary-and-sufficient interface
 // predicate) and configuration offers — never goals — between parties.
 //
-// The coordinator mirrors muppet.Negotiation.RunCtx exactly: the merged
-// envelope is computed by the same ComputeEnvelopeCtx code path, the
-// acting party's minimal-edit revision runs remotely on its own daemon,
-// and the joint reconcile runs at the mediator. Because every solver call
-// sees a structurally identical problem, a federated run over loopback
-// daemons produces a byte-identical final agreement and round count to
-// the single-process Negotiation on the same bundle split (enforced by
-// the repository's crosscheck suite).
+// The coordinator runs muppet.Negotiation itself, supplying only each
+// party's revision turn: the merged envelope and the joint reconcile are
+// computed at the mediator, while the acting party's minimal-edit revision
+// runs remotely on its own daemon. A federated run over loopback daemons
+// therefore produces the final agreement and rounds of the single-process
+// Negotiation on the same bundle split by construction (checked by the
+// repository's crosscheck suite).
 //
-// Robustness: per-round and whole-negotiation deadlines layered on
-// sat.Budget, idempotency keys so a retried offer applies at most once,
-// exponential backoff with jitter honoring Retry-After, a per-peer
-// circuit breaker, typed degradation outcomes that report the best
-// partial agreement instead of tearing, and an append-only HMAC-signed
-// transcript of every round, verifiable offline.
+// Robustness: the caller's deadline and sat.Budget carried on every hop,
+// idempotency keys so a retried offer applies at most once, exponential
+// backoff with jitter honoring Retry-After, a per-peer circuit breaker,
+// typed degradation outcomes that report the best partial agreement
+// instead of tearing, and an append-only HMAC-signed transcript of every
+// round, verifiable offline.
 package feder
 
 import (
@@ -275,8 +274,13 @@ func (e *encoder) expr(x relational.Expr) (*Node, error) {
 // that was itself built through them is a fixed point of that
 // simplification, so decode(encode(f)) is structurally identical to f.
 type decoder struct {
-	v    *Vocab
-	vars map[int]*relational.Var
+	v *Vocab
+	// vars maps a wire id to its variable. The encoder gives a variable
+	// one id in every scope that binds it, so the map outlives scopes;
+	// scope counts the enclosing declarations of each id, and a
+	// reference outside all of them is malformed.
+	vars  map[int]*relational.Var
+	scope map[int]int
 }
 
 // DecodeFormulas rebuilds formulas encoded by EncodeFormulas. Malformed
@@ -288,7 +292,7 @@ func (v *Vocab) DecodeFormulas(ns []*Node) (fs []relational.Formula, err error) 
 			fs, err = nil, fmt.Errorf("feder: malformed wire formula: %v", p)
 		}
 	}()
-	d := &decoder{v: v, vars: make(map[int]*relational.Var)}
+	d := &decoder{v: v, vars: make(map[int]*relational.Var), scope: make(map[int]int)}
 	fs = make([]relational.Formula, len(ns))
 	for i, n := range ns {
 		f, err := d.formula(n)
@@ -384,11 +388,7 @@ func (d *decoder) formula(n *Node) (relational.Formula, error) {
 		if len(n.C) != 1 {
 			return nil, fmt.Errorf("feder: quantifier wants 1 body, got %d", len(n.C))
 		}
-		ds, err := d.decls(n.D)
-		if err != nil {
-			return nil, err
-		}
-		body, err := d.formula(n.C[0])
+		ds, body, err := d.scoped(n.D, n.C[0])
 		if err != nil {
 			return nil, err
 		}
@@ -400,24 +400,33 @@ func (d *decoder) formula(n *Node) (relational.Formula, error) {
 	return nil, fmt.Errorf("feder: unknown formula kind %q", n.K)
 }
 
-func (d *decoder) decls(ns []*Node) ([]relational.Decl, error) {
-	out := make([]relational.Decl, len(ns))
+// scoped decodes a quantifier's or comprehension's declarations and body.
+// Each declaration's domain sees only the declarations before it, as
+// evaluation binds them in order; the body sees them all, and they leave
+// scope after it.
+func (d *decoder) scoped(ns []*Node, bodyNode *Node) ([]relational.Decl, relational.Formula, error) {
+	ds := make([]relational.Decl, len(ns))
 	for i, n := range ns {
 		if n == nil || n.K != "dcl" || len(n.C) != 1 {
-			return nil, fmt.Errorf("feder: malformed declaration node")
+			return nil, nil, fmt.Errorf("feder: malformed declaration node")
+		}
+		dom, err := d.expr(n.C[0])
+		if err != nil {
+			return nil, nil, err
 		}
 		v, ok := d.vars[n.V]
 		if !ok {
 			v = relational.NewVar(n.S)
 			d.vars[n.V] = v
 		}
-		dom, err := d.expr(n.C[0])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = relational.NewDecl(v, dom)
+		d.scope[n.V]++
+		ds[i] = relational.NewDecl(v, dom)
 	}
-	return out, nil
+	body, err := d.formula(bodyNode)
+	for _, n := range ns {
+		d.scope[n.V]--
+	}
+	return ds, body, err
 }
 
 func (d *decoder) expr(n *Node) (relational.Expr, error) {
@@ -426,11 +435,10 @@ func (d *decoder) expr(n *Node) (relational.Expr, error) {
 	}
 	switch n.K {
 	case "var":
-		v, ok := d.vars[n.V]
-		if !ok {
-			return nil, fmt.Errorf("feder: reference to undeclared variable %d (%s)", n.V, n.S)
+		if d.scope[n.V] == 0 {
+			return nil, fmt.Errorf("feder: variable %d (%s) used outside its declaration", n.V, n.S)
 		}
-		return v, nil
+		return d.vars[n.V], nil
 	case "rel":
 		r, ok := d.v.rels[n.S]
 		if !ok {
@@ -492,11 +500,7 @@ func (d *decoder) expr(n *Node) (relational.Expr, error) {
 		if len(n.C) != 1 {
 			return nil, fmt.Errorf("feder: comprehension wants 1 body, got %d", len(n.C))
 		}
-		ds, err := d.decls(n.D)
-		if err != nil {
-			return nil, err
-		}
-		body, err := d.formula(n.C[0])
+		ds, body, err := d.scoped(n.D, n.C[0])
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // fig1 loads the walkthrough bundle and compiles the shared system.
-func fig1(t *testing.T, extraPorts []int) (*muppet.System, *muppet.Bundle) {
+func fig1(t testing.TB, extraPorts []int) (*muppet.System, *muppet.Bundle) {
 	t.Helper()
 	bundle, err := muppet.LoadFiles(
 		"../../testdata/fig1/mesh.yaml",
@@ -30,7 +30,7 @@ func fig1(t *testing.T, extraPorts []int) (*muppet.System, *muppet.Bundle) {
 var fig1Ports = []int{23, 10000, 12000, 14000, 16000}
 
 // fig1Parties builds the walkthrough party pair over sys.
-func fig1Parties(t *testing.T, sys *muppet.System, bundle *muppet.Bundle) (k8s, istio *muppet.Party) {
+func fig1Parties(t testing.TB, sys *muppet.System, bundle *muppet.Bundle) (k8s, istio *muppet.Party) {
 	t.Helper()
 	kg, err := muppet.LoadK8sGoals("../../testdata/fig1/k8s_goals.csv")
 	if err != nil {
@@ -153,6 +153,21 @@ func TestSystemFingerprint(t *testing.T) {
 	}
 }
 
+// someVar is `some x` for wire variable 1.
+var someVar = &Node{K: "mlt", Op: "some", C: []*Node{{K: "var", V: 1, S: "x"}}}
+
+// Two well-formed trees whose variables escape their scope: a conjunct
+// using x after the quantifier binding it, and a declaration whose domain
+// is the variable it declares. Both evaluate with x unbound.
+var (
+	varOutOfScope = &Node{K: "nry", Op: "and", C: []*Node{
+		{K: "qnt", B: true, D: []*Node{{K: "dcl", V: 1, S: "x", C: []*Node{{K: "rel", S: "Service"}}}}, C: []*Node{someVar}},
+		someVar,
+	}}
+	varInOwnDomain = &Node{K: "qnt", B: true,
+		D: []*Node{{K: "dcl", V: 1, S: "x", C: []*Node{{K: "var", V: 1, S: "x"}}}}, C: []*Node{someVar}}
+)
+
 // TestDecodeRejectsMalformed asserts every malformed wire shape surfaces
 // as an error, never a panic.
 func TestDecodeRejectsMalformed(t *testing.T) {
@@ -172,6 +187,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"undeclared-var", &Node{K: "mlt", Op: "some", C: []*Node{{K: "var", V: 7, S: "x"}}}},
 		{"comparison-arity", &Node{K: "cmp", B: true, C: []*Node{{K: "rel", S: "Port"}}}},
 		{"implies-arity", &Node{K: "nry", Op: "implies", C: []*Node{{K: "cf", B: true}}}},
+		{"var-out-of-scope", varOutOfScope},
+		{"var-in-own-domain", varInOwnDomain},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,4 +197,64 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeEnvelope feeds arbitrary JSON to the envelope decoder, as a
+// peer receives it. Decoding must never panic; an envelope it accepts
+// must be safe to check against either party's configuration and must
+// re-encode to a fixed point.
+func FuzzDecodeEnvelope(f *testing.F) {
+	sys, bundle := fig1(f, fig1Ports)
+	k8s, istio := fig1Parties(f, sys, bundle)
+	v := NewVocab(sys)
+	for _, pair := range [][2]*muppet.Party{{istio, k8s}, {k8s, istio}} {
+		env := muppet.ComputeEnvelope(sys, pair[0], []*muppet.Party{pair[1]})
+		w, err := v.EncodeEnvelope(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, _ := json.Marshal(w)
+		f.Add(raw)
+	}
+	for _, n := range []*Node{varOutOfScope, varInOwnDomain} {
+		raw, _ := json.Marshal(&WireEnvelope{From: "K8s", To: "Istio", Clauses: []*Node{n}})
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Evaluation is exponential in quantifier nesting, so a small
+		// input can take arbitrarily long to check. Bounding what a wire
+		// envelope may cost to evaluate belongs to the memory-budget work;
+		// until then, inputs beyond the seeds' size (the larger Fig. 1
+		// envelope encodes to 10 KB) are skipped to keep each exec cheap.
+		if len(data) > 16<<10 {
+			return
+		}
+		var w WireEnvelope
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		env, err := v.DecodeEnvelope(&w)
+		if err != nil {
+			return
+		}
+		muppet.CheckCandidate(sys, k8s, env, true, istio)
+		muppet.CheckCandidate(sys, istio, env, true, k8s)
+		w1, err := v.EncodeEnvelope(env)
+		if err != nil {
+			t.Fatalf("decoded envelope does not re-encode: %v", err)
+		}
+		env1, err := v.DecodeEnvelope(w1)
+		if err != nil {
+			t.Fatalf("re-encoded envelope does not decode: %v", err)
+		}
+		w2, err := v.EncodeEnvelope(env1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j1, _ := json.Marshal(w1)
+		j2, _ := json.Marshal(w2)
+		if string(j1) != string(j2) {
+			t.Fatalf("codec is not a fixed point:\n1st %s\n2nd %s", j1, j2)
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"muppet/internal/encode"
+	"muppet/internal/envelope"
 	"muppet/internal/relational"
 	"muppet/internal/sat"
 )
@@ -292,6 +293,24 @@ func (c *SolveCache) MinimalEditCtx(ctx context.Context, sys *encode.System, p *
 		ws.addNamed(fmt.Sprintf("%s/constraint[%d]", p.Name, i), ws.ss.Lit(cf))
 	}
 	return ws.run(ctx, b)
+}
+
+// Revise is the Fig. 8 revision aid for party p against env, given the
+// other parties' current configurations. It returns nil when p's current
+// configuration already satisfies env and p's own goals; otherwise it
+// searches a minimal edit satisfying both, which p adopts when the result
+// is OK. A result that is neither OK nor Indeterminate means p is stuck,
+// with blame in its Feedback.
+func (c *SolveCache) Revise(ctx context.Context, sys *encode.System, p *Party, env *envelope.Envelope, b sat.Budget, others ...*Party) *Result {
+	if ok, _ := CheckCandidate(sys, p, env, true, others...); ok {
+		return nil
+	}
+	constraints := append([]relational.Formula{env.Formula()}, p.GoalFormulas()...)
+	res := c.MinimalEditCtx(ctx, sys, p, constraints, b, others...)
+	if res.OK {
+		p.adopt(res.Instance)
+	}
+	return res
 }
 
 // RunConformanceCtx is the Fig. 7 workflow with every solving step served

@@ -5,7 +5,6 @@ import (
 
 	"muppet/internal/encode"
 	"muppet/internal/envelope"
-	"muppet/internal/relational"
 	"muppet/internal/sat"
 	"muppet/internal/target"
 )
@@ -83,12 +82,10 @@ func runConformanceCtx(ctx context.Context, c *SolveCache, sys *encode.System, p
 	}
 	out.Envelope = env
 
-	// Fig. 8: does the tenant's current configuration already conform?
-	ok, _ := CheckCandidate(sys, tenant, out.Envelope, true, provider)
-	out.CandidateOK = ok
-	if !ok {
-		constraints := append([]relational.Formula{out.Envelope.Formula()}, tenant.GoalFormulas()...)
-		revision := c.MinimalEditCtx(ctx, sys, tenant, constraints, b, provider)
+	// Fig. 8: conform as is, else revise with a minimal edit.
+	revision := c.Revise(ctx, sys, tenant, out.Envelope, b, provider)
+	out.CandidateOK = revision == nil
+	if !out.CandidateOK {
 		if revision.Indeterminate {
 			return indeterminate("revision", revision.Stop)
 		}
@@ -98,7 +95,6 @@ func runConformanceCtx(ctx context.Context, c *SolveCache, sys *encode.System, p
 			return out
 		}
 		out.Edits = revision.Edits
-		tenant.adopt(revision.Instance)
 	}
 
 	rec := c.ReconcileCtx(ctx, sys, []*Party{provider, tenant}, b)

@@ -7,11 +7,11 @@ import (
 )
 
 // FanOut serves n independent workflow queries across a bounded pool of
-// goroutines, the concurrent-query driver behind `muppet bench -parallel`
-// and the scaling experiments. The encode.System is safe to share across
-// the pool (it is immutable after construction); each task must own its
-// mutable state — its parties and, if it wants session reuse, its own
-// SolveCache — because those are single-goroutine by design.
+// goroutines, the concurrent-query driver behind muppetbench's workloads.
+// The encode.System is safe to share across the pool (it is immutable
+// after construction); each task must own its mutable state — its parties
+// and, if it wants session reuse, its own SolveCache — because those are
+// single-goroutine by design.
 //
 // workers ≤ 0 means GOMAXPROCS. The first error cancels the context passed
 // to the remaining tasks and is returned once every in-flight task has

@@ -1,13 +1,16 @@
 package muppet
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"muppet/internal/encode"
+	"muppet/internal/envelope"
 	"muppet/internal/goals"
 	"muppet/internal/mesh"
 	"muppet/internal/relational"
+	"muppet/internal/sat"
 	"muppet/internal/scenario"
 )
 
@@ -369,6 +372,49 @@ func TestFig9NegotiationRoundsAndHumanIntervention(t *testing.T) {
 		t.Fatalf("negotiation with relaxed goals must succeed: %v", out2.Feedback)
 	}
 	verifyComposed(t, f.sys, &K8sPartyState{Config: pushed}, revisedState)
+}
+
+// TestNegotiationTurnAdoptsRevision starts Fig. 9 from the pushed port-23
+// ban with soft offers, where the parties revise with real edits, and
+// requires every turn that edits the acting party's own knobs to leave the
+// party holding its counter-offer, so later envelopes and reconciles see
+// it.
+func TestNegotiationTurnAdoptsRevision(t *testing.T) {
+	f := loadFixture(t)
+	pushed := mesh.CloneK8s(f.k8sCfg)
+	pushed.Policy("cluster-default").IngressDenyPorts = []int{23}
+	k8sParty, _, err := NewK8sParty(f.sys, pushed, encode.AllSoft(), f.k8sGoals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	istioParty, _, err := NewIstioParty(f.sys, f.istioCfg, encode.AllSoft(), f.istioFig3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNegotiation(f.sys, k8sParty, istioParty)
+	ownEdits := 0
+	n.Turn = func(ctx context.Context, round, i int, env *envelope.Envelope, b sat.Budget) (*Result, error) {
+		p := n.parties[i]
+		before := p.Describe()
+		res, err := n.revise(ctx, round, i, env, b)
+		if res == nil || !res.OK {
+			return res, err
+		}
+		for _, e := range res.Edits {
+			if e.Party == p.Name {
+				ownEdits++
+				if p.Describe() == before {
+					t.Errorf("round %d: %s edited its own knobs but kept its configuration", round, p.Name)
+				}
+				break
+			}
+		}
+		return res, err
+	}
+	n.Run()
+	if ownEdits == 0 {
+		t.Fatal("no turn edited the acting party's own knobs; the test exercised nothing")
+	}
 }
 
 func TestFig6MonolithicBaseline(t *testing.T) {

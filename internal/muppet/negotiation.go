@@ -21,14 +21,25 @@ import (
 type Negotiation struct {
 	sys     *encode.System
 	parties []*Party
-	turn    int
 	// cache keeps live solving sessions across rounds: the repeated
 	// reconciliations and each party's revision workspace become
 	// incremental solves instead of per-round rebuilds.
 	cache *SolveCache
 	// MaxRounds bounds the number of revision turns (default 2 cycles).
 	MaxRounds int
+	// Turn runs each party's revision phase. Nil means in process, on the
+	// negotiation's cache; a federated coordinator supplies a turn that
+	// asks the party's own mediator instead.
+	Turn Turn
 }
+
+// Turn is party i's revision phase in one round (Fig. 8): given the
+// envelope the other parties sent it, the party answers as
+// SolveCache.Revise does — nil when its configuration already conforms,
+// else the minimal-edit result, adopted into the party when OK. An error
+// means the party could not be reached; it ends the run as
+// ReasonUnreachable.
+type Turn func(ctx context.Context, round, i int, env *envelope.Envelope, b sat.Budget) (*Result, error)
 
 // TerminalReason classifies how a negotiation run ended. A MaxRounds
 // exhaustion, a full stuck cycle, and a solver-budget interruption are
@@ -49,6 +60,11 @@ const (
 	// ReasonIndeterminate: a solver budget or cancellation interrupted a
 	// round; the run is neither a success nor a proven failure.
 	ReasonIndeterminate
+	// ReasonUnreachable: a party's turn, or the delivery of the agreement
+	// to it, failed (a federated peer stayed unreachable through retries).
+	// The rounds so far and the parties' configurations are the
+	// best-so-far partial agreement.
+	ReasonUnreachable
 )
 
 func (r TerminalReason) String() string {
@@ -59,6 +75,8 @@ func (r TerminalReason) String() string {
 		return "exhausted-rounds"
 	case ReasonAllStuck:
 		return "all-stuck"
+	case ReasonUnreachable:
+		return "peer-unreachable"
 	default:
 		return "indeterminate"
 	}
@@ -79,9 +97,9 @@ type RoundReport struct {
 	// envelope together with its own goals — direct communication between
 	// administrators is needed (Sec. 4.2).
 	Stuck bool
-	// Indeterminate is set when a solver budget or cancellation cut this
-	// round short: the party is not known to be stuck, the round simply
-	// never finished.
+	// Indeterminate is set when a solver budget, a cancellation or an
+	// unreachable party cut this round short: the party is not known to be
+	// stuck, the round simply never finished.
 	Indeterminate bool
 	Feedback      *Feedback
 	// Reconciled reports the Alg. 2 attempt after the revision.
@@ -101,8 +119,24 @@ type NegotiationOutcome struct {
 	Stop   target.StopReason
 	Rounds []*RoundReport
 	// Feedback explains the terminal failure, if any. It is never set for
-	// an indeterminate run: an interrupted solve proves nothing to blame.
+	// an indeterminate or unreachable run: an interrupted solve proves
+	// nothing to blame.
 	Feedback *Feedback
+	// FailedParty and Err name the party whose failure ended the run, and
+	// why, when Reason is ReasonUnreachable.
+	FailedParty string
+	Err         error
+}
+
+// Unreachable ends o as ReasonUnreachable, naming the party whose turn
+// or delivery failed and why. An agreement a party never received is not
+// reconciled, so Reconciled is cleared.
+func (o *NegotiationOutcome) Unreachable(party string, err error) *NegotiationOutcome {
+	o.Reconciled = false
+	o.Reason = ReasonUnreachable
+	o.FailedParty, o.Err = party, err
+	o.Feedback = nil
+	return o
 }
 
 // NewNegotiation registers parties for negotiation. Order fixes the
@@ -110,10 +144,6 @@ type NegotiationOutcome struct {
 func NewNegotiation(sys *encode.System, parties ...*Party) *Negotiation {
 	return &Negotiation{sys: sys, parties: parties, cache: NewSolveCache(), MaxRounds: 2 * len(parties)}
 }
-
-// CacheStats reports the session-reuse counters accumulated across this
-// negotiation's rounds.
-func (n *Negotiation) CacheStats() ReuseStats { return n.cache.Stats() }
 
 // UseCache serves this negotiation's solves from c instead of the
 // negotiation's own private cache. A long-lived mediator process passes
@@ -136,6 +166,11 @@ func (n *Negotiation) others(i int) []*Party {
 	return out
 }
 
+// revise is the in-process Turn.
+func (n *Negotiation) revise(ctx context.Context, _, i int, env *envelope.Envelope, b sat.Budget) (*Result, error) {
+	return n.cache.Revise(ctx, n.sys, n.parties[i], env, b, n.others(i)...), nil
+}
+
 // Run executes the workflow until reconciliation succeeds, every party in
 // a full cycle is stuck, or MaxRounds turns elapse. Successful runs adopt
 // the reconciled configurations into every party.
@@ -150,6 +185,10 @@ func (n *Negotiation) Run() *NegotiationOutcome {
 // failed reconciliation.
 func (n *Negotiation) RunCtx(ctx context.Context, b sat.Budget) *NegotiationOutcome {
 	out := &NegotiationOutcome{}
+	turn := n.Turn
+	if turn == nil {
+		turn = n.revise
+	}
 
 	indeterminate := func(rep *RoundReport, stop target.StopReason) *NegotiationOutcome {
 		if rep != nil {
@@ -177,8 +216,7 @@ func (n *Negotiation) RunCtx(ctx context.Context, b sat.Budget) *NegotiationOutc
 
 	stuckStreak := 0
 	for round := 1; round <= n.MaxRounds; round++ {
-		i := n.turn % len(n.parties)
-		n.turn++
+		i := (round - 1) % len(n.parties)
 		p := n.parties[i]
 		rep := &RoundReport{Round: round, Party: p.Name}
 		out.Rounds = append(out.Rounds, rep)
@@ -189,30 +227,29 @@ func (n *Negotiation) RunCtx(ctx context.Context, b sat.Budget) *NegotiationOutc
 		}
 		rep.Envelope = env
 
-		// Fig. 8 aid for this party's revision phase.
-		if ok, _ := CheckCandidate(n.sys, p, rep.Envelope, true, n.others(i)...); ok {
+		revision, err := turn(ctx, round, i, env, b)
+		switch {
+		case err != nil:
+			rep.Indeterminate = true
+			return out.Unreachable(p.Name, err)
+		case revision == nil:
 			rep.ConformedAlready = true
-		} else {
-			constraints := append([]relational.Formula{rep.Envelope.Formula()}, p.GoalFormulas()...)
-			revision := n.cache.MinimalEditCtx(ctx, n.sys, p, constraints, b, n.others(i)...)
-			if revision.Indeterminate {
-				return indeterminate(rep, revision.Stop)
+		case revision.Indeterminate:
+			return indeterminate(rep, revision.Stop)
+		case !revision.OK:
+			rep.Stuck = true
+			rep.Feedback = revision.Feedback
+			out.Feedback = revision.Feedback
+			stuckStreak++
+			if stuckStreak >= len(n.parties) {
+				// A full cycle of stuck parties: humans must talk.
+				out.Reason = ReasonAllStuck
+				return out
 			}
-			if !revision.OK {
-				rep.Stuck = true
-				rep.Feedback = revision.Feedback
-				out.Feedback = revision.Feedback
-				stuckStreak++
-				if stuckStreak >= len(n.parties) {
-					// A full cycle of stuck parties: humans must talk.
-					out.Reason = ReasonAllStuck
-					return out
-				}
-				continue
-			}
+			continue
+		default:
 			rep.Revised = true
 			rep.Edits = revision.Edits
-			p.adopt(revision.Instance)
 		}
 		stuckStreak = 0
 

@@ -61,14 +61,11 @@ func Exec(ctx context.Context, st *State, cache *muppet.SolveCache, req Request,
 }
 
 // ExecFed is Exec with federated-negotiation plumbing: when a negotiate
-// request names Peers, the solve is driven as a coordinator over remote
-// mediators instead of an in-process loop, with fopts tuning the retry,
+// request names Peers, this process coordinates the loop and each party's
+// revision turn runs on its remote mediator, with fopts tuning the retry,
 // breaker, and transcript machinery (nil = defaults). All other requests
 // pass through to the local path untouched.
 func ExecFed(ctx context.Context, st *State, cache *muppet.SolveCache, req Request, b muppet.Budget, fopts *FedOptions) (Response, error) {
-	if req.Op == "negotiate" && req.Peers != "" {
-		return execFederated(ctx, st, cache, req, b, fopts)
-	}
 	k8sParty, istioParty, err := st.FreshParties()
 	if err != nil {
 		return Response{}, err
@@ -212,11 +209,20 @@ func ExecFed(ctx context.Context, st *State, cache *muppet.SolveCache, req Reque
 		fmt.Fprint(&out, tenant.Describe())
 
 	case "negotiate":
-		n := muppet.NewNegotiation(st.Sys, k8sParty, istioParty).UseCache(cache)
-		if req.Rounds > 0 {
-			n.MaxRounds = req.Rounds
+		// A request naming Peers runs the loop as the federated
+		// coordinator, over its replicas of the parties; both render here.
+		var o *muppet.NegotiationOutcome
+		if req.Peers != "" {
+			if o, k8sParty, istioParty, err = coordinate(ctx, st, cache, req, b, fopts); err != nil {
+				return Response{}, err
+			}
+		} else {
+			n := muppet.NewNegotiation(st.Sys, k8sParty, istioParty).UseCache(cache)
+			if req.Rounds > 0 {
+				n.MaxRounds = req.Rounds
+			}
+			o = n.RunCtx(ctx, b)
 		}
-		o := n.RunCtx(ctx, b)
 		if o.InitialReconcile {
 			fmt.Fprintln(&out, "initial offers reconciled immediately")
 		}
@@ -241,6 +247,17 @@ func ExecFed(ctx context.Context, st *State, cache *muppet.SolveCache, req Reque
 			fmt.Fprintf(&out, "NEGOTIATION INDETERMINATE (%s)\n", o.Stop)
 			resp.Code = CodeIndeterminate
 			resp.Stop = fmt.Sprint(o.Stop)
+		case o.Reason == muppet.ReasonUnreachable:
+			// Only a federated run degrades: the replicas hold the
+			// best-so-far partial agreement, reported with the typed
+			// failure instead of torn down.
+			fmt.Fprintf(&out, "NEGOTIATION DEGRADED (%s)\n%v\n", o.Reason, o.Err)
+			fmt.Fprintln(&out, "--- best-so-far K8s configuration ---")
+			fmt.Fprint(&out, k8sParty.Describe())
+			fmt.Fprintln(&out, "--- best-so-far Istio configuration ---")
+			fmt.Fprint(&out, istioParty.Describe())
+			resp.Code = CodeIndeterminate
+			resp.Stop = o.Reason.String()
 		case !o.Reconciled:
 			fmt.Fprintf(&out, "NEGOTIATION FAILED (%s)\n%s\n", o.Reason, o.Feedback)
 			resp.Code = CodeUnsat

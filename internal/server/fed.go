@@ -40,19 +40,17 @@ func ParsePeers(s string) ([]feder.PeerRef, error) {
 	return out, nil
 }
 
-// execFederated drives a negotiate request as the federated coordinator.
-// The rendering mirrors the single-process negotiate arm of Exec line for
-// line, so on the outcomes both modes can reach (reconciled, failed,
-// indeterminate) the Output is byte-identical; only the distributed-only
-// peer-unreachable degradation renders differently.
-func execFederated(ctx context.Context, st *State, cache *muppet.SolveCache, req Request, b muppet.Budget, fopts *FedOptions) (Response, error) {
+// coordinate runs a negotiate request as the federated coordinator over
+// the peers it names, returning the outcome and the K8s and Istio
+// replicas it negotiated for.
+func coordinate(ctx context.Context, st *State, cache *muppet.SolveCache, req Request, b muppet.Budget, fopts *FedOptions) (*muppet.NegotiationOutcome, *muppet.Party, *muppet.Party, error) {
 	peers, err := ParsePeers(req.Peers)
 	if err != nil {
-		return Response{}, err
+		return nil, nil, nil, err
 	}
 	replicas, err := st.FedReplicas()
 	if err != nil {
-		return Response{}, err
+		return nil, nil, nil, err
 	}
 	var opts FedOptions
 	if fopts != nil {
@@ -63,64 +61,10 @@ func execFederated(ctx context.Context, st *State, cache *muppet.SolveCache, req
 	}
 	coord, err := feder.NewCoordinator(st.Sys, replicas, peers, opts)
 	if err != nil {
-		return Response{}, fmt.Errorf("%w: %v", ErrUsage, err)
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrUsage, err)
 	}
 	if cache != nil {
 		coord.UseCache(cache)
 	}
-
-	o := coord.Run(ctx, b)
-
-	var out strings.Builder
-	resp := Response{Op: req.Op}
-	if o.InitialReconcile {
-		fmt.Fprintln(&out, "initial offers reconciled immediately")
-	}
-	for _, r := range o.Rounds {
-		fmt.Fprintf(&out, "round %d: %s ", r.Round, r.Party)
-		switch {
-		case r.Indeterminate:
-			fmt.Fprintln(&out, "was interrupted mid-round")
-		case r.Stuck:
-			fmt.Fprintln(&out, "is stuck — administrators must talk")
-		case r.ConformedAlready:
-			fmt.Fprintln(&out, "already conforms")
-		case r.Revised:
-			fmt.Fprintf(&out, "revised with %d edits\n", len(r.Edits))
-		}
-		if r.Reconciled {
-			fmt.Fprintln(&out, "  → reconciled")
-		}
-	}
-	describeAll := func() {
-		fmt.Fprintln(&out, "--- K8s configuration ---")
-		fmt.Fprint(&out, replicas[0].P.Describe())
-		fmt.Fprintln(&out, "--- Istio configuration ---")
-		fmt.Fprint(&out, replicas[1].P.Describe())
-	}
-	switch {
-	case o.Reason == feder.FedIndeterminate:
-		fmt.Fprintf(&out, "NEGOTIATION INDETERMINATE (%s)\n", o.Stop)
-		resp.Code = CodeIndeterminate
-		resp.Stop = fmt.Sprint(o.Stop)
-	case o.Reason == feder.FedPeerUnreachable:
-		// Graceful degradation: the replicas hold the best-so-far partial
-		// agreement; report it with the typed failure instead of tearing
-		// it down.
-		fmt.Fprintf(&out, "NEGOTIATION DEGRADED (%s)\n%v\n", o.Reason, o.PeerErr)
-		fmt.Fprintln(&out, "--- best-so-far K8s configuration ---")
-		fmt.Fprint(&out, replicas[0].P.Describe())
-		fmt.Fprintln(&out, "--- best-so-far Istio configuration ---")
-		fmt.Fprint(&out, replicas[1].P.Describe())
-		resp.Code = CodeIndeterminate
-		resp.Stop = o.Reason.String()
-	case !o.Reconciled:
-		fmt.Fprintf(&out, "NEGOTIATION FAILED (%s)\n%s\n", o.Reason, o.Feedback)
-		resp.Code = CodeUnsat
-	default:
-		fmt.Fprintln(&out, "NEGOTIATED")
-		describeAll()
-	}
-	resp.Output = out.String()
-	return resp, nil
+	return coord.Run(ctx, b), replicas[0].P, replicas[1].P, nil
 }

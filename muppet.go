@@ -124,6 +124,8 @@ type (
 	RoundReport = core.RoundReport
 	// TerminalReason classifies how a negotiation run ended.
 	TerminalReason = core.TerminalReason
+	// Turn is one party's revision phase in a negotiation round.
+	Turn = core.Turn
 	// Envelope is E_{A→B} (paper Fig. 5, Alg. 3).
 	Envelope = envelope.Envelope
 )
@@ -229,6 +231,7 @@ const (
 	ReasonExhaustedRounds = core.ReasonExhaustedRounds
 	ReasonAllStuck        = core.ReasonAllStuck
 	ReasonIndeterminate   = core.ReasonIndeterminate
+	ReasonUnreachable     = core.ReasonUnreachable
 )
 
 // Scenario generation for experiments.
