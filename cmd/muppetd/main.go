@@ -32,7 +32,8 @@
 // <id>/tenant.yaml manifests; SIGHUP (or -tenant-rescan polling) rescans
 // it, adding new tenants, hot-reloading changed ones, and removing
 // vanished ones. Reloads are atomic swaps — in-flight requests finish on
-// the revision they started with.
+// the revision they started with — and a reload that keeps the universe
+// keeps the tenant's warm sessions.
 //
 // Request bodies are JSON (see internal/server.Request); budgets travel
 // in the X-Muppet-Timeout and X-Muppet-Max-Conflicts headers, capped by

@@ -1,7 +1,11 @@
 package muppet_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +13,7 @@ import (
 
 	"muppet"
 	"muppet/internal/server"
+	tenantpool "muppet/internal/tenant"
 )
 
 // The delta cross-check suite anchors incremental re-reconciliation the
@@ -221,6 +226,107 @@ func TestDeltaRebaseMatchesColdExec(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReloadedPoolMatchesColdExec carries the delta gate to the request
+// path: a tenant primed on every op at revision A and reloaded to
+// revision B serves every op on B byte-identical to a cold Exec of B,
+// across every encoding configuration. A reload that keeps the universe
+// keeps the tenant's pool, so every read on B checks out the cache primed
+// on A and the pool records no new miss; one that changes the universe
+// starts a fresh pool, so the first read on B misses and goes cold.
+func TestReloadedPoolMatchesColdExec(t *testing.T) {
+	fixtures := writeDeltaFixtures(t, t.TempDir())
+	reqs := []server.Request{
+		{Op: "check", Party: "k8s"},
+		{Op: "check", Party: "istio"},
+		{Op: "envelope", From: "k8s", To: "istio", Leakage: true},
+		{Op: "reconcile"},
+		{Op: "conform"},
+		{Op: "negotiate"},
+	}
+	for _, fx := range fixtures {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			stB, err := server.Load(fx.after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range encodingConfigs {
+				withEncoding(cfg.enc, func() {
+					reloadedPoolServe(t, cfg.name, fx, stB, reqs)
+				})
+			}
+		})
+	}
+}
+
+// reloadedPoolServe runs one fixture of TestReloadedPoolMatchesColdExec
+// under the current encoding configuration.
+func reloadedPoolServe(t *testing.T, enc string, fx deltaFixture, stB *server.State, reqs []server.Request) {
+	t.Helper()
+	cold := make([]server.Response, len(reqs))
+	for i, req := range reqs {
+		resp, err := server.Exec(context.Background(), stB, nil, req, muppet.Budget{})
+		if err != nil {
+			t.Fatalf("%s: cold %s: %v", enc, req.Op, err)
+		}
+		cold[i] = resp
+	}
+
+	cur := fx.before
+	reg := tenantpool.NewRegistry[*server.State](tenantpool.NewLedger(0))
+	if _, err := reg.Add("acme", func() (*server.State, string, error) { return server.LoaderFromConfig(cur)() }); err != nil {
+		t.Fatal(err)
+	}
+	// One worker: requests run one at a time, so the pool holds one cache.
+	s := server.NewMulti(reg, server.Options{Concurrency: 1, QueueDepth: 4})
+	defer s.Close()
+	hs := httptest.NewServer(s)
+	defer hs.Close()
+	serve := func(req server.Request) server.Response {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		res, err := http.Post(hs.URL+"/t/acme/"+req.Op, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		var out server.Response
+		if err := json.NewDecoder(res.Body).Decode(&out); err != nil || res.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s: HTTP %d, decode %v", enc, req.Op, res.StatusCode, err)
+		}
+		return out
+	}
+
+	for _, req := range reqs {
+		serve(req)
+	}
+	primed, _ := reg.Get("acme")
+	missesA := primed.Pool.Stats().Misses
+
+	cur = fx.after
+	ent, swapped, err := reg.Reload("acme", false)
+	if err != nil || !swapped {
+		t.Fatalf("%s: reload: swapped=%v err=%v", enc, swapped, err)
+	}
+	if (ent.Pool == primed.Pool) != fx.compatible {
+		t.Fatalf("%s: revision 2 shares the primed pool = %v, want %v", enc, ent.Pool == primed.Pool, fx.compatible)
+	}
+	for i, req := range reqs {
+		got := serve(req)
+		if got.Code != cold[i].Code || got.Output != cold[i].Output {
+			t.Fatalf("%s: %s on the reloaded tenant differs from cold exec\n--- cold (code %d) ---\n%s\n--- served (code %d) ---\n%s",
+				enc, req.Op, cold[i].Code, cold[i].Output, got.Code, got.Output)
+		}
+	}
+	wantMisses := int64(1) // the universe changed: the first read goes cold
+	if fx.compatible {
+		wantMisses = 0 // every read lands on the carried cache
+	}
+	if got := ent.Pool.Stats().Misses - missesA; got != wantMisses {
+		t.Fatalf("%s: pool misses on revision 2 = %d, want %d", enc, got, wantMisses)
 	}
 }
 

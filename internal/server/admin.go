@@ -82,8 +82,9 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 // handleTenantAdmin serves POST /tenants/{id}/reload: re-run the
 // tenant's loader and swap in the new revision. By default the swap is
 // skipped when the input fingerprint is unchanged; ?force=1 swaps
-// regardless (useful to shed a tenant's warm caches). A failed load
-// keeps the old revision serving and reports 502.
+// regardless. Either way a revision that keeps the universe keeps the
+// tenant's warm caches. A failed load keeps the old revision serving and
+// reports 502.
 func (s *Server) handleTenantAdmin(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/tenants/")
 	id, action, ok := strings.Cut(rest, "/")

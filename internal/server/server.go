@@ -120,6 +120,14 @@ func NewMulti(reg *tenant.Registry[*State], opts Options) *Server {
 	}
 	s.pool = newPool(opts.Concurrency, opts.QueueDepth, s.runJob)
 	s.watch = newWatchHub(s)
+	// A reload that keeps the universe is anchored on its predecessor's
+	// System, so the tenant's pool, and the watch hub's cache, stay warm.
+	reg.SetRebase(func(old, new *State) (*State, bool) {
+		if rb, err := new.RebasedOn(old.Sys); err == nil {
+			return rb, true
+		}
+		return new, false
+	})
 	// Watch mode rides the registry's swap notifications: every hot
 	// reload (SIGHUP, rescan, admin) becomes one delta re-reconcile and
 	// one event per watched op.

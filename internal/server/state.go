@@ -12,6 +12,8 @@ package server
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -127,17 +129,53 @@ func (st *State) Snapshot() (*muppet.DeltaRevision, error) {
 
 // RebasedOn returns a copy of this state re-anchored on another
 // revision's system: parties built from the copy ground the new
-// revision's goals and configurations over sys's (universe-compatible)
-// vocabulary, so the previous revision's warm sessions keep serving. It
-// fails — and the caller must fall back to a cold build — when the new
-// goals do not compile over sys (atoms outside the grounded bounds).
+// revision's goals and configurations over sys's vocabulary, so the
+// previous revision's warm sessions keep serving, with answers identical
+// to the state's own. It fails — and the caller must fall back to a cold
+// build — unless sys has exactly the state's universe atoms in the same
+// order (delta.Compare's rule) and the same structure, which the atoms
+// do not name but goal compilation and the exact bounds read from the
+// system: each service's labels and listening ports, and each policy's
+// selector.
 func (st *State) RebasedOn(sys *muppet.System) (*State, error) {
-	cp := *st
-	cp.Sys = sys
-	if _, _, err := cp.FreshParties(); err != nil {
+	if err := sameVocabulary(st.Sys, sys); err != nil {
 		return nil, fmt.Errorf("rebase: %w", err)
 	}
+	cp := *st
+	cp.Sys = sys
 	return &cp, nil
+}
+
+// sameVocabulary reports why sys cannot stand in for own, or nil when
+// the two differ only in relation identities. Equal universes with equal
+// service and policy counts fix every name and its position, so the
+// structure is compared position by position.
+func sameVocabulary(own, sys *muppet.System) error {
+	a, b := own.Universe.Atoms(), sys.Universe.Atoms()
+	if !slices.Equal(a, b) {
+		return fmt.Errorf("universe differs (%d atoms, want %d)", len(b), len(a))
+	}
+	if len(own.Mesh.Services) != len(sys.Mesh.Services) || len(own.K8sShells) != len(sys.K8sShells) ||
+		len(own.IstioShells) != len(sys.IstioShells) {
+		return fmt.Errorf("service or policy count differs")
+	}
+	for i, s := range own.Mesh.Services {
+		o := sys.Mesh.Services[i]
+		if !maps.Equal(s.Labels, o.Labels) || !slices.Equal(s.Ports, o.Ports) {
+			return fmt.Errorf("service %s changed its labels or ports", s.Name)
+		}
+	}
+	for i, p := range own.K8sShells {
+		if !maps.Equal(p.Selector, sys.K8sShells[i].Selector) {
+			return fmt.Errorf("NetworkPolicy %s changed its selector", p.Name)
+		}
+	}
+	for i, p := range own.IstioShells {
+		if !maps.Equal(p.Target, sys.IstioShells[i].Target) {
+			return fmt.Errorf("AuthorizationPolicy %s changed its selector", p.Name)
+		}
+	}
+	return nil
 }
 
 // FedParty materializes this state's side of a federated negotiation:

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -265,8 +267,27 @@ func TestTenantsAdminSurface(t *testing.T) {
 // concurrent traffic, a hot reload swaps a tenant's state without losing
 // or tearing a single request — every response is byte-identical to the
 // old revision's reference or the new one's, and once the swap is
-// observed, traffic converges on the new answers.
+// observed, traffic converges on the new answers. Banning port 24 instead
+// of 23 grows the universe, so the new revision starts on a fresh pool;
+// flipping the port-23 ban to an allow keeps it, so the new revision
+// shares the old one's pool and caches checked out by old-revision
+// requests come back into it.
 func TestHotReloadUnderLoad(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		newGoals  string
+		keepsPool bool
+	}{
+		{"universe-change", goalsBan24, false},
+		{"same-universe", goalsAllow23, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hotReloadUnderLoad(t, tc.newGoals, tc.keepsPool)
+		})
+	}
+}
+
+func hotReloadUnderLoad(t *testing.T, newGoals string, keepsPool bool) {
 	dir := t.TempDir()
 	goalsPath := tenantManifest(t, dir, "acme", goalsBan23)
 	req := Request{Op: "reconcile"}
@@ -276,11 +297,12 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	defer s.Close()
 	hs := httptest.NewServer(s)
 	defer hs.Close()
+	first, _ := s.Registry().Get("acme")
 
 	// Compute the post-reload reference from a scratch copy of the same
 	// inputs, before the live tenant dir is rewritten.
 	refDir := t.TempDir()
-	tenantManifest(t, refDir, "acme", goalsBan24)
+	tenantManifest(t, refDir, "acme", newGoals)
 	newRef := refResponse(t, refDir, "acme", req)
 	if oldRef.Output == newRef.Output {
 		t.Fatal("test setup: the two revisions must produce different outputs")
@@ -300,7 +322,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				if c == 0 && i == perClient/2 {
 					// Mid-traffic, rewrite the tenant's goals and hot-reload.
-					if err := os.WriteFile(goalsPath, []byte(goalsBan24), 0o644); err != nil {
+					if err := os.WriteFile(goalsPath, []byte(newGoals), 0o644); err != nil {
 						errs <- err
 						return
 					}
@@ -354,5 +376,178 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	ent, _ := s.Registry().Get("acme")
 	if ent.Revision != 2 {
 		t.Fatalf("revision = %d, want 2", ent.Revision)
+	}
+	if (ent.Pool == first.Pool) != keepsPool {
+		t.Fatalf("new revision shares the old pool = %v, want %v", ent.Pool == first.Pool, keepsPool)
+	}
+}
+
+// TestRebasedOnChecksVocabulary: RebasedOn enforces its own precondition.
+// The port-23 ban's goals compile over the port-24 ban's system (port 23
+// is in both inventories), but the universes differ (13 and 14 atoms), so
+// the rebase must fail. So must one onto a system whose universe matches
+// but whose policy selects other services: the selector lives in the
+// system, not in the atoms.
+func TestRebasedOnChecksVocabulary(t *testing.T) {
+	dir := t.TempDir()
+	load := func(id, goals string) *State {
+		t.Helper()
+		tenantManifest(t, dir, id, goals)
+		st, _, err := ManifestLoader(filepath.Join(dir, id, tenant.ManifestName))()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	ban23, ban24, allow23 := load("ban23", goalsBan23), load("ban24", goalsBan24), load("allow23", goalsAllow23)
+	if n, m := len(ban23.Sys.Universe.Atoms()), len(ban24.Sys.Universe.Atoms()); n != 13 || m != 14 {
+		t.Fatalf("test setup: universes of %d and %d atoms, want 13 and 14", n, m)
+	}
+	if _, err := ban23.RebasedOn(ban24.Sys); err == nil {
+		t.Fatal("ban-23 state rebased on the ban-24 system: want an error, the universes differ")
+	}
+	if _, err := ban24.RebasedOn(ban23.Sys); err == nil {
+		t.Fatal("ban-24 state rebased on the ban-23 system: want an error, port 24 is not grounded")
+	}
+
+	tenantManifest(t, dir, "retarget", goalsBan23)
+	istioPath := filepath.Join(dir, "retarget", "istio_current.yaml")
+	orig, err := os.ReadFile(istioPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(orig), "      app: frontend\n  ingress", "      app: db\n  ingress", 1)
+	if edited == string(orig) {
+		t.Fatal("test setup: selector edit did not apply")
+	}
+	if err := os.WriteFile(istioPath, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	retarget, _, err := ManifestLoader(filepath.Join(dir, "retarget", tenant.ManifestName))()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := retarget.RebasedOn(ban23.Sys); err == nil {
+		t.Fatal("retargeted policy rebased on the old system: want an error, its selector changed")
+	}
+
+	// Same universe and structure: the rebased state answers as its own
+	// system would.
+	rb, err := allow23.RebasedOn(ban23.Sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Sys != ban23.Sys {
+		t.Fatal("rebased state is not anchored on the given system")
+	}
+	for _, req := range []Request{{Op: "reconcile"}, {Op: "check", Party: "k8s"}} {
+		if got, want := execDirect(t, rb, req), execDirect(t, allow23, req); got != want {
+			t.Fatalf("%s: rebased answer differs from the state's own:\n--- own ---\n%s\n--- rebased ---\n%s",
+				req.Op, want.Output, got.Output)
+		}
+	}
+}
+
+// poolCounters are the /metrics series that count pool activity and must
+// never go down.
+var poolCounters = []string{
+	"muppetd_sessions_built_total",
+	"muppetd_session_reuses_total",
+	"muppetd_translation_cache_total",
+	"muppetd_tenant_sessions_built_total",
+	"muppetd_tenant_session_reuses_total",
+	"muppetd_tenant_cache_evictions_total",
+}
+
+// scrapeCounters reads every poolCounters sample from /metrics, keyed by
+// series name plus labels.
+func scrapeCounters(t *testing.T, hs *httptest.Server) map[string]float64 {
+	t.Helper()
+	res, err := hs.Client().Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	body, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(series, "{")
+		if !slices.Contains(poolCounters, name) {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// TestPoolCountersSurviveReload: the pool counters on /metrics count per
+// tenant, not per revision. A reload that keeps the universe keeps the
+// pool; one that changes it hands the retired pool's counts to the new
+// pool. Either way no series goes down. The unlimited budget keeps caches
+// warm (reuses grow); the one-byte budget evicts every session at
+// checkin (evictions grow).
+func TestPoolCountersSurviveReload(t *testing.T) {
+	for _, budget := range []int64{0, 1} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			dir := t.TempDir()
+			goalsPath := tenantManifest(t, dir, "acme", goalsBan23)
+			s := multiTenantServer(t, dir, Options{Concurrency: 1, QueueDepth: 4, CacheBudgetBytes: budget})
+			defer s.Close()
+			hs := httptest.NewServer(s)
+			defer hs.Close()
+
+			serve := func() {
+				t.Helper()
+				for i := 0; i < 3; i++ {
+					for _, req := range []Request{{Op: "reconcile"}, {Op: "check", Party: "k8s"}} {
+						if res, _ := postTenantOp(t, hs.Client(), hs.URL, "acme", req); res.StatusCode != http.StatusOK {
+							t.Fatalf("%s: HTTP %d", req.Op, res.StatusCode)
+						}
+					}
+				}
+			}
+			serve()
+			before := scrapeCounters(t, hs)
+			if len(before) < len(poolCounters) {
+				t.Fatalf("scraped %d pool series, want at least %d: %v", len(before), len(poolCounters), before)
+			}
+			grown := "muppetd_session_reuses_total"
+			if budget > 0 {
+				grown = `muppetd_tenant_cache_evictions_total{tenant="acme"}`
+			}
+			if before[grown] == 0 {
+				t.Fatalf("test setup: %s is 0 before any reload", grown)
+			}
+			for _, reload := range []struct{ name, goals string }{
+				{"same-universe", goalsAllow23},
+				{"universe-change", goalsBan24},
+			} {
+				if err := os.WriteFile(goalsPath, []byte(reload.goals), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, swapped, err := s.Registry().Reload("acme", false); err != nil || !swapped {
+					t.Fatalf("%s reload: swapped=%v err=%v", reload.name, swapped, err)
+				}
+				after := scrapeCounters(t, hs)
+				for series, v := range before {
+					if got, ok := after[series]; !ok || got < v {
+						t.Errorf("after the %s reload: %s = %v (present %v), was %v", reload.name, series, got, ok, v)
+					}
+				}
+				serve()
+				before = scrapeCounters(t, hs)
+			}
+		})
 	}
 }

@@ -20,10 +20,11 @@ import (
 // minimal edit" instead of being polled with full requests. A watcher
 // subscribes to one (tenant, op) pair; on every registry revision swap
 // the hub diffs the old and new bundle revisions (package delta), serves
-// the op through the warm Rebase path when the revisions are compatible
-// (cold rebuild otherwise), and publishes exactly one event per revision
-// to every subscriber — long-poll (`GET ...?rev=N`) and SSE (`?stream=1`)
-// are two views of the same sticky per-op event state.
+// the op through the warm Rebase path when the registry kept the
+// revision on the same System (cold rebuild otherwise), and publishes
+// exactly one event per revision to every subscriber — long-poll
+// (`GET ...?rev=N`) and SSE (`?stream=1`) are two views of the same
+// sticky per-op event state.
 //
 // All solving happens on a single hub worker goroutine with its own
 // SolveCache per tenant, so watch-mode solves never race the request
@@ -83,18 +84,18 @@ type opWatch struct {
 	update chan struct{}
 }
 
-// tenantWatch anchors one tenant's watch state. baseState pins the
-// System the warm cache's sessions were ground over; compatible
-// revisions are rebased onto it, incompatible ones reset the anchor and
-// the cache. All fields are hub-worker-owned except the opWatch
-// internals above.
+// tenantWatch is one tenant's watch state at one revision. The registry
+// anchors each revision (see SetRebase in NewMulti), so the cache's
+// sessions were ground over state.Sys: a revision on the same System
+// keeps the cache, one on a new System resets it. All fields are
+// hub-worker-owned except the opWatch internals above.
 type tenantWatch struct {
-	id        string
-	baseState *State
-	cache     *muppet.SolveCache
-	prevRev   *muppet.DeltaRevision
-	revision  int64
-	ops       map[string]*opWatch
+	id       string
+	state    *State
+	cache    *muppet.SolveCache
+	prevRev  *muppet.DeltaRevision
+	revision int64
+	ops      map[string]*opWatch
 }
 
 var errHubClosed = errors.New("watch hub closed")
@@ -246,7 +247,7 @@ func (h *watchHub) subscribe(tenantID string, req Request) (*opWatch, error) {
 			return nil, err
 		}
 		tw = &tenantWatch{
-			id: tenantID, baseState: ent.State, cache: muppet.NewSolveCache(),
+			id: tenantID, state: ent.State, cache: muppet.NewSolveCache(),
 			prevRev: snap, revision: ent.Revision, ops: make(map[string]*opWatch),
 		}
 		h.tenants[tenantID] = tw
@@ -256,7 +257,7 @@ func (h *watchHub) subscribe(tenantID string, req Request) (*opWatch, error) {
 		return ow, nil
 	}
 	ow := &opWatch{req: req, update: make(chan struct{})}
-	ev, err := h.runOp(tw, ow, tw.baseState, nil, tw.revision)
+	ev, err := h.runOp(tw, ow, tw.state, nil, tw.revision)
 	if err != nil {
 		return nil, err // not registered; the next subscriber retries
 	}
@@ -300,8 +301,10 @@ func (h *watchHub) onSwap(old, new *tenant.Entry[*State]) {
 }
 
 // handleSwap recomputes every watched op of a swapped tenant (worker
-// only): snapshot the new revision, diff against the previous one, serve
-// warm via rebase when compatible, reset the anchor and go cold when not.
+// only): snapshot the new revision, diff against the previous one, and
+// serve it on the hub cache, which stays warm while the registry keeps
+// the tenant's System and resets when it does not. A revision the hub
+// already serves (its subscribe ran after the swap) is skipped.
 func (h *watchHub) handleSwap(old, new *tenant.Entry[*State]) {
 	id := ""
 	if new != nil {
@@ -318,6 +321,9 @@ func (h *watchHub) handleSwap(old, new *tenant.Entry[*State]) {
 		delete(h.tenants, id)
 		return
 	}
+	if new.Revision <= tw.revision {
+		return
+	}
 	st := new.State
 	snap, err := st.Snapshot()
 	if err != nil {
@@ -326,22 +332,15 @@ func (h *watchHub) handleSwap(old, new *tenant.Entry[*State]) {
 		return
 	}
 	plan := muppet.CompareRevisions(tw.prevRev, snap)
-	serveState := st
-	if plan.Compatible {
-		if rb, rerr := st.RebasedOn(tw.baseState.Sys); rerr == nil {
-			serveState = rb
-		}
+	if st.Sys != tw.state.Sys {
+		tw.cache = muppet.NewSolveCache() // sessions of another System: go cold
 	}
-	if serveState == st {
-		// Cold reset: the new revision becomes the anchor for future diffs.
-		tw.baseState = st
-		tw.cache = muppet.NewSolveCache()
-	}
+	tw.state = st
 	tw.prevRev = snap
 	tw.revision = new.Revision
 	for _, key := range tw.opKeys() {
 		ow := tw.ops[key]
-		ev, err := h.runOp(tw, ow, serveState, plan, new.Revision)
+		ev, err := h.runOp(tw, ow, st, plan, new.Revision)
 		if err != nil {
 			ev = &WatchEvent{
 				Tenant: id, Revision: new.Revision, Op: ow.req.Op, Party: ow.req.Party,

@@ -10,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -295,5 +296,110 @@ func TestWatchValidation(t *testing.T) {
 		if res.StatusCode != tc.want {
 			t.Fatalf("%s %s: status %d, want %d", tc.method, tc.path, res.StatusCode, tc.want)
 		}
+	}
+}
+
+// TestWatchSubscribeRacingSwap: a subscription queued before a swap but
+// run after it computes the new revision as its baseline, so the swap
+// must not publish that revision again. The hub worker is parked on a
+// job to fix the order: subscribe queued, then the reload's swap.
+func TestWatchSubscribeRacingSwap(t *testing.T) {
+	dir := t.TempDir()
+	goalsPath := tenantManifest(t, dir, "alpha", goalsBan23)
+	s := multiTenantServer(t, dir, Options{Concurrency: 1, QueueDepth: 4})
+	defer s.Close()
+	h := s.watch
+	queued := func() int {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return len(h.queue)
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	h.enqueue(func() { close(parked); <-release })
+	<-parked
+	type subscribed struct {
+		ow  *opWatch
+		err error
+	}
+	sub := make(chan subscribed, 1)
+	go func() {
+		ow, err := h.ensure(context.Background(), "alpha", Request{Op: "reconcile"})
+		sub <- subscribed{ow, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); queued() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("subscribe job never queued")
+		}
+	}
+	if err := os.WriteFile(goalsPath, []byte(goalsAllow23), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, swapped, err := s.Registry().Reload("alpha", false); err != nil || !swapped {
+		t.Fatalf("reload: swapped=%v err=%v", swapped, err)
+	}
+	if n := queued(); n != 2 {
+		t.Fatalf("queued jobs = %d, want the subscribe and the swap", n)
+	}
+	close(release)
+	r := <-sub
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	drained := make(chan struct{})
+	h.enqueue(func() { close(drained) }) // runs after the swap job
+	<-drained
+
+	if n := atomic.LoadInt64(&h.events); n != 1 {
+		t.Fatalf("events published = %d, want 1", n)
+	}
+	ev, _ := h.current(r.ow)
+	ref := refResponse(t, dir, "alpha", Request{Op: "reconcile"})
+	if ev.Revision != 2 || ev.Delta == nil || ev.Delta.Reason != "baseline" || ev.Output != ref.Output {
+		t.Fatalf("sticky event = revision %d delta %+v, want the revision-2 baseline", ev.Revision, ev.Delta)
+	}
+}
+
+// TestWatchLateSubscriberSeesCurrentRevision: an op first watched after a
+// same-universe reload starts from the tenant's current revision, not the
+// one its hub cache was first built on.
+func TestWatchLateSubscriberSeesCurrentRevision(t *testing.T) {
+	dir := t.TempDir()
+	goalsPath := tenantManifest(t, dir, "alpha", goalsBan23)
+	s := multiTenantServer(t, dir, Options{Concurrency: 1, QueueDepth: 4, WatchPollTimeout: 2 * time.Second})
+	defer s.Close()
+	hs := httptest.NewServer(s)
+	defer hs.Close()
+	client := hs.Client()
+
+	if ev := pollWatch(t, client, hs.URL, "alpha", "reconcile", 0); ev == nil || ev.Revision != 1 {
+		t.Fatalf("baseline = %+v, want revision 1", ev)
+	}
+	check := Request{Op: "check", Party: "k8s"}
+	oldRef := refResponse(t, dir, "alpha", check)
+	if err := os.WriteFile(goalsPath, []byte(goalsAllow23), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, swapped, err := s.Registry().Reload("alpha", false); err != nil || !swapped {
+		t.Fatalf("reload: swapped=%v err=%v", swapped, err)
+	}
+	if ev := pollWatch(t, client, hs.URL, "alpha", "reconcile", 1); ev == nil || ev.Revision != 2 || ev.Delta.Cold {
+		t.Fatalf("reconcile update = %+v, want a warm revision 2", ev)
+	}
+	newRef := refResponse(t, dir, "alpha", check)
+	if newRef.Output == oldRef.Output {
+		t.Fatal("test setup: the check must answer differently on the two revisions")
+	}
+	res, err := client.Get(hs.URL + "/t/alpha/watch/check?party=k8s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var ev WatchEvent
+	if err := json.NewDecoder(res.Body).Decode(&ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Revision != 2 || ev.Output != newRef.Output {
+		t.Fatalf("late check subscription = revision %d answering\n%s\nwant revision 2 answering\n%s", ev.Revision, ev.Output, newRef.Output)
 	}
 }

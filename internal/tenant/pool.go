@@ -88,13 +88,14 @@ type idleCache struct {
 // settles the byte accounting with the shared ledger, evicting the
 // globally least-recently-used sessions if the fleet is over budget.
 //
-// A pool belongs to one tenant revision. When the revision is replaced
-// (hot reload) the pool is retired: its idle caches are dropped — they
-// key sessions by the old revision's compiled system, so they could
-// never hit again — and caches still checked out by in-flight requests
-// are discarded at checkin. That is the whole drain protocol: old
-// requests finish on the state they started with, and the memory follows
-// them out.
+// A pool belongs to one tenant System: its caches key sessions by that
+// compiled system. A reload that keeps the universe keeps the System, so
+// the new revision shares the pool and its first request lands warm.
+// A reload that changes the universe retires the pool: its idle caches
+// are dropped — they could never hit again — and caches still checked
+// out by in-flight requests are discarded at checkin. That is the whole
+// drain protocol: old requests finish on the state they started with,
+// and the memory follows them out.
 type CachePool struct {
 	ledger *Ledger
 	tenant string
@@ -102,8 +103,11 @@ type CachePool struct {
 	// All mutable state below is guarded by ledger.mu: eviction is a
 	// cross-pool scan, so one lock for the whole fleet keeps it simple
 	// and the critical sections are short (stats are computed outside).
-	free      []*idleCache
-	retired   bool
+	free    []*idleCache
+	retired bool
+	// next is the pool that replaced this one (RetireInto): a retired
+	// pool counts its late checkouts and checkins there.
+	next      *CachePool
 	checkouts int64
 	misses    int64
 	evictions int64
@@ -119,17 +123,28 @@ type CachePool struct {
 func (p *CachePool) Checkout() *muppet.SolveCache {
 	l := p.ledger
 	l.mu.Lock()
-	p.checkouts++
 	if n := len(p.free); n > 0 && !p.retired {
+		p.checkouts++
 		ic := p.free[n-1]
 		p.free = p.free[:n-1]
 		l.total -= ic.bytes
 		l.mu.Unlock()
 		return ic.cache
 	}
-	p.misses++
+	q := p.live()
+	q.checkouts++
+	q.misses++
 	l.mu.Unlock()
 	return muppet.NewSolveCache()
+}
+
+// live is the pool that counts p's traffic: p itself, or after
+// RetireInto the tenant's current pool. Called with ledger.mu held.
+func (p *CachePool) live() *CachePool {
+	for p.next != nil {
+		p = p.next
+	}
+	return p
 }
 
 // Checkin returns a checked-out cache to the pool, re-measures it, and
@@ -149,7 +164,7 @@ func (p *CachePool) Checkin(c *muppet.SolveCache) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if p.retired {
-		p.retiredStats.Add(stats)
+		p.live().retiredStats.Add(stats)
 		return
 	}
 	l.clock++
@@ -196,7 +211,15 @@ func (l *Ledger) evictLocked() {
 
 // Retire marks the pool dead and releases its idle caches. Checked-out
 // caches are discarded when their requests check them back in.
-func (p *CachePool) Retire() {
+func (p *CachePool) Retire() { p.RetireInto(nil) }
+
+// RetireInto retires p in favour of next, the pool that replaces it
+// after a reload that changed the tenant's System. next takes over p's
+// counters, and p's later traffic (checkouts by requests still on the
+// old revision, and the caches they check back in) is counted in next,
+// so the tenant's statistics run on across the reload. A nil next is
+// Retire.
+func (p *CachePool) RetireInto(next *CachePool) {
 	l := p.ledger
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -214,6 +237,15 @@ func (p *CachePool) Retire() {
 			l.pools = append(l.pools[:i], l.pools[i+1:]...)
 			break
 		}
+	}
+	if next != nil {
+		next.checkouts += p.checkouts
+		next.misses += p.misses
+		next.evictions += p.evictions
+		next.retiredStats.Add(p.retiredStats)
+		p.checkouts, p.misses, p.evictions = 0, 0, 0
+		p.retiredStats = muppet.ReuseStats{}
+		p.next = next
 	}
 }
 

@@ -64,6 +64,47 @@ func TestPoolRetire(t *testing.T) {
 	p.Retire() // idempotent
 }
 
+// TestPoolRetireIntoCarriesCounters: a pool retired into its successor
+// hands over its counters, and traffic that still reaches the retired
+// pool (an in-flight request's checkin, a late checkout) is counted in
+// the successor, so the tenant's statistics only grow.
+func TestPoolRetireIntoCarriesCounters(t *testing.T) {
+	sys, k8s, istio := scenarioParties(t)
+	l := NewLedger(0)
+	old := l.NewPool("acme")
+	inflight := old.Checkout()
+	old.Checkin(warmCache(t, sys, k8s, istio)) // one idle cache with one session
+	old.Checkin(old.Checkout())
+	before := old.Stats()
+	if before.Checkouts != 2 || before.Misses != 1 || before.Reuse.Sessions != 1 {
+		t.Fatalf("before: %+v", before)
+	}
+
+	next := l.NewPool("acme")
+	old.RetireInto(next)
+	if st := next.Stats(); st.Checkouts != 2 || st.Misses != 1 || st.Reuse.Sessions != 1 || st.IdleCount != 0 {
+		t.Fatalf("successor after retire: %+v", st)
+	}
+	if st := old.Stats(); st.Checkouts != 0 || st.Reuse.Sessions != 0 {
+		t.Fatalf("retired pool still counts: %+v", st)
+	}
+
+	// Old-revision traffic after the retire lands in the successor's
+	// counters, never in its free list.
+	c := inflight
+	c.LocalConsistencyCtx(context.Background(), sys, k8s, []*muppet.Party{istio}, muppet.Budget{})
+	old.Checkin(c)
+	old.Checkin(old.Checkout())
+	st := next.Stats()
+	if st.Checkouts != 3 || st.Misses != 2 || st.Reuse.Sessions != 2 || st.IdleCount != 0 {
+		t.Fatalf("successor after late traffic: %+v", st)
+	}
+	old.RetireInto(l.NewPool("acme")) // idempotent: already retired
+	if got := next.Stats(); got.Checkouts != st.Checkouts {
+		t.Fatalf("second retire moved counters again: %+v", got)
+	}
+}
+
 // warmCache builds a cache holding one live solving session, so it has
 // real, nonzero ApproxBytes for the ledger to account.
 func warmCache(t testing.TB, sys *muppet.System, k8s, istio *muppet.Party) *muppet.SolveCache {

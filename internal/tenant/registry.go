@@ -15,10 +15,12 @@ import (
 type LoadFunc[T any] func() (state T, fingerprint string, err error)
 
 // Entry is one immutable revision of one tenant: the compiled serving
-// state plus the warm-cache pool bound to it. Requests capture the entry
-// at admission and keep it to completion, so a hot reload never tears an
-// in-flight answer — the old revision simply drains (its pool is retired;
-// its state is garbage once the last request lets go).
+// state plus the warm-cache pool it draws from. Requests capture the
+// entry at admission and keep it to completion, so a hot reload never
+// tears an in-flight answer — the old revision simply drains (its state
+// is garbage once the last request lets go). Revisions whose sessions
+// stay valid for each other (see SetRebase) share one pool; otherwise the
+// old revision's pool is retired.
 type Entry[T any] struct {
 	ID string
 	// Revision counts successful loads of this tenant, starting at 1.
@@ -54,6 +56,9 @@ type Registry[T any] struct {
 	// discover re-enumerates dynamic tenants (e.g. a -tenant-dir scan);
 	// see SetDiscover and Rescan.
 	discover func() (map[string]LoadFunc[T], error)
+	// rebase anchors a reloaded state on its predecessor; see SetRebase.
+	// Like discover, it is guarded by reloadMu.
+	rebase func(old, new T) (T, bool)
 
 	// onSwap observes entry transitions; see SetOnSwap.
 	onSwap func(old, new *Entry[T])
@@ -166,7 +171,10 @@ func (r *Registry[T]) Reloads(id string) int64 {
 
 // Reload re-runs the tenant's loader and, if the inputs changed (or
 // force is set), atomically swaps in the new revision: load → validate →
-// compare-and-swap. The old revision's pool is retired so it drains; the
+// compare-and-swap. When the rebase hook (SetRebase) vouches that the old
+// revision's sessions stay valid for the new state, the new revision
+// shares the old one's pool and starts warm; otherwise the old pool is
+// retired so it drains, and a fresh pool takes over its counters. The
 // swap itself is a pointer write, so concurrent lookups see either the
 // whole old revision or the whole new one, never a mix. It returns the
 // current entry and whether a swap happened. On load failure the old
@@ -193,9 +201,17 @@ func (r *Registry[T]) reload(id string, force bool) (*Entry[T], bool, error) {
 	if !force && fp != "" && fp == old.Fingerprint {
 		return old, false, nil // inputs unchanged; keep serving the old revision
 	}
+	keep := false
+	if r.rebase != nil {
+		state, keep = r.rebase(old.State, state)
+	}
+	pool := old.Pool
+	if !keep {
+		pool = r.ledger.NewPool(id)
+	}
 	ent := &Entry[T]{
 		ID: id, Revision: old.Revision + 1, State: state,
-		Pool: r.ledger.NewPool(id), Fingerprint: fp,
+		Pool: pool, Fingerprint: fp,
 		PrevFingerprint: old.Fingerprint,
 	}
 	r.mu.Lock()
@@ -203,7 +219,9 @@ func (r *Registry[T]) reload(id string, force bool) (*Entry[T], bool, error) {
 	r.reloads[id]++
 	hook := r.onSwap
 	r.mu.Unlock()
-	old.Pool.Retire()
+	if !keep {
+		old.Pool.RetireInto(pool)
+	}
 	if hook != nil {
 		hook(old, ent)
 	}
@@ -248,6 +266,20 @@ func (r *Registry[T]) SetOnSwap(f func(old, new *Entry[T])) {
 	r.mu.Lock()
 	r.onSwap = f
 	r.mu.Unlock()
+}
+
+// SetRebase installs the hook Reload runs before a swap. Given the
+// current revision's state and the freshly loaded one, it returns the
+// state to publish and whether the current revision's warm sessions stay
+// valid for it. When they do, the new revision shares the current pool,
+// so its first request lands warm, and caches still checked out by
+// old-revision requests come back warm into the same pool. When they do
+// not, the current pool is retired as without a hook. The hook runs under
+// the reload lock, so it sees revisions in order.
+func (r *Registry[T]) SetRebase(f func(old, new T) (T, bool)) {
+	r.reloadMu.Lock()
+	r.rebase = f
+	r.reloadMu.Unlock()
 }
 
 // SetDiscover installs the enumerator Rescan uses to manage dynamic

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -121,6 +122,63 @@ func TestRegistryReloadRetiresOldPool(t *testing.T) {
 	ent.Pool.Checkin(c)
 	if got := ent.Pool.Stats().IdleCount; got != 0 {
 		t.Fatalf("checkin after retire pooled a cache: idle = %d", got)
+	}
+}
+
+// TestRegistryRebaseKeepsPool: with a rebase hook, a reload whose state
+// the hook vouches for shares the old revision's pool, so a cache checked
+// out by an old-revision request comes back warm for the new one; a
+// reload it rejects retires the pool into a fresh one that carries the
+// counters.
+func TestRegistryRebaseKeepsPool(t *testing.T) {
+	r := NewRegistry[string](nil)
+	// States are "universe/content"; the hook keeps the sessions while the
+	// universe is unchanged and publishes the new content either way.
+	r.SetRebase(func(old, new string) (string, bool) {
+		ou, _, _ := strings.Cut(old, "/")
+		nu, _, _ := strings.Cut(new, "/")
+		return new, ou == nu
+	})
+	ld := &loader{state: "u1/a", fp: "1"}
+	first, err := r.Add("acme", ld.fn())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := first.Pool.Checkout()
+
+	ld.set("u1/b", "2")
+	second, swapped, err := r.Reload("acme", false)
+	if err != nil || !swapped {
+		t.Fatalf("reload: swapped=%v err=%v", swapped, err)
+	}
+	if second.State != "u1/b" || second.Pool != first.Pool {
+		t.Fatalf("same-universe reload: state %q, shares pool %v", second.State, second.Pool == first.Pool)
+	}
+	first.Pool.Checkin(inflight)
+	if got := second.Pool.Checkout(); got != inflight {
+		t.Fatal("a cache checked in by an old-revision request must serve the new revision")
+	}
+
+	// Forcing an unchanged reload still swaps, and still keeps the pool.
+	third, swapped, err := r.Reload("acme", true)
+	if err != nil || !swapped || third.Pool != first.Pool {
+		t.Fatalf("forced reload: swapped=%v err=%v shares pool %v", swapped, err, third.Pool == first.Pool)
+	}
+
+	ld.set("u2/b", "3")
+	fourth, swapped, err := r.Reload("acme", false)
+	if err != nil || !swapped {
+		t.Fatalf("reload: swapped=%v err=%v", swapped, err)
+	}
+	if fourth.Pool == first.Pool {
+		t.Fatal("a reload the hook rejects must not share the pool")
+	}
+	if st := fourth.Pool.Stats(); st.Checkouts != 2 || st.Misses != 1 {
+		t.Fatalf("new pool counters = %+v, want the old pool's 2 checkouts and 1 miss", st)
+	}
+	first.Pool.Checkin(first.Pool.Checkout())
+	if st := first.Pool.Stats(); st.IdleCount != 0 {
+		t.Fatalf("retired pool pooled a checkin: idle = %d", st.IdleCount)
 	}
 }
 
