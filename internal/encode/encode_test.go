@@ -356,6 +356,54 @@ func TestAllSoftAllHoles(t *testing.T) {
 	}
 }
 
+// TestClassifyIntoReusedBuffer: classifying into a buffer a previous
+// call filled answers as a fresh classification does, the exposure
+// override alone decides the exposure knobs' desired values, and the free
+// bounds a session binds once are the ones BindIstioFree binds per call.
+func TestClassifyIntoReusedBuffer(t *testing.T) {
+	sys := fig1System(t)
+	_, istio := fig1Configs(t)
+	svc, port := sys.Mesh.Services[0].Name, sys.PortList[0]
+	exposure := map[string][]int{svc: {port}}
+
+	buf := sys.ClassifyIstio(nil, istio, nil, Offer{})
+	buf = sys.ClassifyIstio(buf, istio, exposure, AllSoft())
+	fresh := sys.ClassifyIstio(nil, istio, exposure, AllSoft())
+	if !reflect.DeepEqual(buf, fresh) {
+		t.Fatal("classification into a reused buffer differs from a fresh one")
+	}
+	exposed := 0
+	for _, ki := range fresh {
+		if ki.State != StateSoft {
+			t.Fatalf("AllSoft: knob %v has state %d", ki.Knob, ki.State)
+		}
+		if ki.Knob.Field == FieldExposure && ki.Desired {
+			exposed++
+			if ki.Knob != PortKnob(svc, FieldExposure, port) {
+				t.Fatalf("knob %v desired, but the override exposes only %s:%d", ki.Knob, svc, port)
+			}
+		}
+	}
+	if exposed != 1 {
+		t.Fatalf("%d exposure knobs desired, want 1", exposed)
+	}
+
+	perCall, once := sys.NewBounds(), sys.NewBounds()
+	om := sys.BindIstioFree(perCall, istio, AllSoft())
+	sys.BindIstioDomain(once)
+	if !reflect.DeepEqual(perCall.Relations(), once.Relations()) {
+		t.Fatal("BindIstioDomain binds the relations in another order than BindIstioFree")
+	}
+	for _, r := range once.Relations() {
+		if !perCall.Upper(r).Equal(once.Upper(r)) || !perCall.Lower(r).Equal(once.Lower(r)) {
+			t.Fatalf("bounds of %s differ", r.Name())
+		}
+	}
+	if !reflect.DeepEqual(om.Infos, sys.ClassifyIstio(nil, istio, nil, AllSoft())) {
+		t.Fatal("BindIstioFree classifies differently from ClassifyIstio")
+	}
+}
+
 func TestDecodeRoundTrip(t *testing.T) {
 	sys := fig1System(t)
 	rng := rand.New(rand.NewSource(5))

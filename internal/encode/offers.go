@@ -191,208 +191,267 @@ func (o Offer) state(policy string, field Field, key string) TupleState {
 	return StateFixed
 }
 
+// fieldSpan is the stretch of a knob table that holds one field's knobs:
+// owner by owner (policy shells, or services for exposure), one knob per
+// key (inventory port, or service) within each owner.
+type fieldSpan struct {
+	field      Field
+	rel        *relational.Relation
+	start, end int
+}
+
+// knobTable lists every configurable tuple of one party's domain in
+// binding order: field by field, then owner by owner, then key by key.
+// Each entry carries its knob, relation and tuple; State and Desired stay
+// zero, for classification to fill in on a copy. NewSystem builds the
+// table once and never changes it, so every worker of the System shares
+// it, tuples and key strings included. Its order fixes the order of the
+// bounds, the soft literals and the fixed groups, and so the answers.
+type knobTable struct {
+	infos []KnobInfo
+	spans []fieldSpan
+}
+
+// buildKnobTables records both parties' knob tables. Key strings and atom
+// indices are computed once per port, service and shell, and each field's
+// tuples are carved out of one backing array.
+func (sys *System) buildKnobTables() {
+	// axis is one dimension of a field: names (policies, services or
+	// port keys) and the atoms they stand for.
+	type axis struct {
+		names []string
+		atoms []int
+	}
+	newAxis := func(prefix string, names []string) axis {
+		a := axis{names: names, atoms: make([]int, len(names))}
+		for i, n := range names {
+			a.atoms[i] = sys.Universe.MustIndex(prefix + n)
+		}
+		return a
+	}
+	var portKeys, svcNames, npNames, apNames []string
+	for _, p := range sys.PortList {
+		portKeys = append(portKeys, strconv.Itoa(p))
+	}
+	for _, svc := range sys.Mesh.Services {
+		svcNames = append(svcNames, svc.Name)
+	}
+	for _, sh := range sys.K8sShells {
+		npNames = append(npNames, sh.Name)
+	}
+	for _, sh := range sys.IstioShells {
+		apNames = append(apNames, sh.Name)
+	}
+	ports, svcs := newAxis("port:", portKeys), newAxis("", svcNames)
+	nps, aps := newAxis("np:", npNames), newAxis("ap:", apNames)
+
+	add := func(t *knobTable, f Field, rel *relational.Relation, owners, keys axis) {
+		sp := fieldSpan{field: f, rel: rel, start: len(t.infos)}
+		flat := make(relational.Tuple, 0, 2*len(owners.names)*len(keys.names))
+		for i, owner := range owners.names {
+			for j, key := range keys.names {
+				flat = append(flat, owners.atoms[i], keys.atoms[j])
+				t.infos = append(t.infos, KnobInfo{
+					Knob:  Knob{Policy: owner, Field: f, Key: key},
+					Rel:   rel,
+					Tuple: flat[len(flat)-2 : len(flat) : len(flat)],
+				})
+			}
+		}
+		sp.end = len(t.infos)
+		t.spans = append(t.spans, sp)
+	}
+	k8s, istio := &sys.k8sKnobs, &sys.istioKnobs
+	add(k8s, FieldKIngressDeny, sys.KInDeny, nps, ports)
+	add(k8s, FieldKIngressAllow, sys.KInAllow, nps, ports)
+	add(k8s, FieldKEgressDeny, sys.KEgDeny, nps, ports)
+	add(k8s, FieldKEgressAllow, sys.KEgAllow, nps, ports)
+	add(istio, FieldIDenyTo, sys.IDenyTo, aps, ports)
+	add(istio, FieldIAllowTo, sys.IAllowTo, aps, ports)
+	add(istio, FieldExposure, sys.ActivePorts, svcs, ports)
+	add(istio, FieldIDenyFrom, sys.IDenyFrom, aps, svcs)
+	add(istio, FieldIAllowFrom, sys.IAllowFrom, aps, svcs)
+}
+
+// ClassifyK8s classifies every K8s knob of the system under offer, with
+// Desired taken from cfg (a policy missing from cfg counts as empty). It
+// copies the system's knob table into dst's storage, growing it only if
+// it is too small, and fills in State and Desired; nothing else is
+// allocated. The returned knobs share their tuples and key strings with
+// the table: callers must not modify them.
+func (sys *System) ClassifyK8s(dst []KnobInfo, cfg *mesh.K8sConfig, offer Offer) []KnobInfo {
+	dst = append(dst[:0], sys.k8sKnobs.infos...)
+	np := len(sys.PortList)
+	for _, sp := range sys.k8sKnobs.spans {
+		for i, shell := range sys.K8sShells {
+			var current []int
+			if cp := cfg.Policy(shell.Name); cp != nil {
+				current = k8sPorts(cp, sp.field)
+			}
+			markPorts(dst[sp.start+i*np:][:np], sys.PortList, current)
+		}
+	}
+	classifyStates(dst, offer)
+	return dst
+}
+
+// ClassifyIstio is ClassifyK8s for the Istio knobs. exposure overrides
+// the services' listening ports as the exposure knobs' desired values
+// (nil = the mesh's current ports; a service absent from a non-nil map
+// exposes nothing).
+func (sys *System) ClassifyIstio(dst []KnobInfo, cfg *mesh.IstioConfig, exposure map[string][]int, offer Offer) []KnobInfo {
+	dst = append(dst[:0], sys.istioKnobs.infos...)
+	np, ns := len(sys.PortList), len(sys.Mesh.Services)
+	for _, sp := range sys.istioKnobs.spans {
+		if sp.field == FieldExposure {
+			for i, svc := range sys.Mesh.Services {
+				ports := svc.Ports
+				if exposure != nil {
+					ports = exposure[svc.Name]
+				}
+				markPorts(dst[sp.start+i*np:][:np], sys.PortList, ports)
+			}
+			continue
+		}
+		for i, shell := range sys.IstioShells {
+			cp := cfg.Policy(shell.Name)
+			switch sp.field {
+			case FieldIDenyFrom, FieldIAllowFrom:
+				var current []string
+				if cp != nil {
+					current = istioServices(cp, sp.field)
+				}
+				run := dst[sp.start+i*ns:][:ns]
+				for j, svc := range sys.Mesh.Services {
+					run[j].Desired = containsStr(current, svc.Name)
+				}
+			default:
+				var current []int
+				if cp != nil {
+					current = istioPorts(cp, sp.field)
+				}
+				markPorts(dst[sp.start+i*np:][:np], sys.PortList, current)
+			}
+		}
+	}
+	classifyStates(dst, offer)
+	return dst
+}
+
+// markPorts sets each knob of run, one per inventory port, desired
+// exactly when its port is in present.
+func markPorts(run []KnobInfo, ports, present []int) {
+	for i, p := range ports {
+		run[i].Desired = containsInt(present, p)
+	}
+}
+
+// classifyStates resolves each knob's disposition against the offer.
+func classifyStates(infos []KnobInfo, offer Offer) {
+	for i := range infos {
+		k := &infos[i].Knob
+		infos[i].State = offer.state(k.Policy, k.Field, k.Key)
+	}
+}
+
+func k8sPorts(p *mesh.NetworkPolicy, f Field) []int {
+	switch f {
+	case FieldKIngressDeny:
+		return p.IngressDenyPorts
+	case FieldKIngressAllow:
+		return p.IngressAllowPorts
+	case FieldKEgressDeny:
+		return p.EgressDenyPorts
+	}
+	return p.EgressAllowPorts
+}
+
+func istioPorts(p *mesh.AuthorizationPolicy, f Field) []int {
+	if f == FieldIDenyTo {
+		return p.DenyToPorts
+	}
+	return p.AllowToPorts
+}
+
+func istioServices(p *mesh.AuthorizationPolicy, f Field) []string {
+	if f == FieldIDenyFrom {
+		return p.DenyFromServices
+	}
+	return p.AllowFromServices
+}
+
+// bindKnobs bounds every relation of table t from infos, t's entries
+// classified (by ClassifyK8s or ClassifyIstio). A soft or hole knob's
+// tuple is free: it joins the upper bound only. A fixed knob's tuple is
+// free too unless pin is set; then it is in both bounds when desired and
+// in neither otherwise. A relation with no knobs is bound empty.
+func (sys *System) bindKnobs(b *relational.Bounds, t *knobTable, infos []KnobInfo, pin bool) {
+	for _, sp := range t.spans {
+		lower := relational.NewTupleSet(sys.Universe, 2)
+		upper := relational.NewTupleSet(sys.Universe, 2)
+		for i := sp.start; i < sp.end; i++ {
+			ki := &infos[i]
+			if pin && ki.State == StateFixed {
+				if ki.Desired {
+					lower.Add(ki.Tuple)
+					upper.Add(ki.Tuple)
+				}
+			} else {
+				upper.Add(ki.Tuple)
+			}
+		}
+		b.Bound(sp.rel, lower, upper)
+	}
+}
+
+// BindK8sDomain binds the K8s configurable relations with every tuple
+// free: lower bounds empty, upper bounds the whole knob table. These are
+// the bounds BindK8sFree produces for any configuration and offer, so a
+// session binds them once and classifies each call's offer with
+// ClassifyK8s.
+func (sys *System) BindK8sDomain(b *relational.Bounds) {
+	sys.bindKnobs(b, &sys.k8sKnobs, sys.k8sKnobs.infos, false)
+}
+
+// BindIstioDomain is BindK8sDomain for the Istio relations.
+func (sys *System) BindIstioDomain(b *relational.Bounds) {
+	sys.bindKnobs(b, &sys.istioKnobs, sys.istioKnobs.infos, false)
+}
+
 // BindK8s applies a K8s offer to bounds: for each configurable (policy,
 // key) tuple, fixed knobs pin the tuple to the concrete config's value,
 // soft and hole knobs leave it free. cfg must contain a policy for every
 // shell (match by name); missing policies are treated as empty.
 func (sys *System) BindK8s(b *relational.Bounds, cfg *mesh.K8sConfig, offer Offer) *OfferMap {
-	return sys.bindK8s(b, cfg, offer, true)
+	om := &OfferMap{Infos: sys.ClassifyK8s(nil, cfg, offer)}
+	sys.bindKnobs(b, &sys.k8sKnobs, om.Infos, true)
+	return om
 }
 
-// BindK8sFree is BindK8s but leaves every tuple free in the bounds; the
-// returned OfferMap still classifies knobs per the offer. Workflow code
-// uses this to enforce fixed settings through retractable selector clauses
-// instead of bounds, so unsat cores can blame configuration fragments.
+// BindK8sFree is BindK8s but leaves every tuple free in the bounds, as
+// BindK8sDomain does; the returned OfferMap still classifies knobs per the
+// offer. Workflow code enforces fixed settings through retractable
+// selector clauses instead of bounds, so unsat cores can blame
+// configuration fragments; it binds once per session with BindK8sDomain
+// and classifies per call with ClassifyK8s, which this combines.
 func (sys *System) BindK8sFree(b *relational.Bounds, cfg *mesh.K8sConfig, offer Offer) *OfferMap {
-	return sys.bindK8s(b, cfg, offer, false)
-}
-
-func (sys *System) bindK8s(b *relational.Bounds, cfg *mesh.K8sConfig, offer Offer, pin bool) *OfferMap {
-	om := &OfferMap{}
-	type table struct {
-		field Field
-		rel   *relational.Relation
-		get   func(*mesh.NetworkPolicy) []int
-	}
-	tables := []table{
-		{FieldKIngressDeny, sys.KInDeny, func(p *mesh.NetworkPolicy) []int { return p.IngressDenyPorts }},
-		{FieldKIngressAllow, sys.KInAllow, func(p *mesh.NetworkPolicy) []int { return p.IngressAllowPorts }},
-		{FieldKEgressDeny, sys.KEgDeny, func(p *mesh.NetworkPolicy) []int { return p.EgressDenyPorts }},
-		{FieldKEgressAllow, sys.KEgAllow, func(p *mesh.NetworkPolicy) []int { return p.EgressAllowPorts }},
-	}
-	for _, tbl := range tables {
-		lower := relational.NewTupleSet(sys.Universe, 2)
-		upper := relational.NewTupleSet(sys.Universe, 2)
-		for _, shell := range sys.K8sShells {
-			var current []int
-			if cp := cfg.Policy(shell.Name); cp != nil {
-				current = tbl.get(cp)
-			}
-			for _, port := range sys.PortList {
-				key := strconv.Itoa(port)
-				present := containsInt(current, port)
-				state := offer.state(shell.Name, tbl.field, key)
-				t := relational.Tuple{
-					sys.Universe.MustIndex("np:" + shell.Name),
-					sys.Universe.MustIndex(portAtom(port)),
-				}
-				if pin && state == StateFixed {
-					if present {
-						lower.Add(t)
-						upper.Add(t)
-					}
-				} else {
-					upper.Add(t)
-				}
-				om.Infos = append(om.Infos, KnobInfo{
-					Knob:    Knob{Policy: shell.Name, Field: tbl.field, Key: key},
-					Rel:     tbl.rel,
-					Tuple:   t,
-					State:   state,
-					Desired: present,
-				})
-			}
-		}
-		b.Bound(tbl.rel, lower, upper)
-	}
+	om := &OfferMap{Infos: sys.ClassifyK8s(nil, cfg, offer)}
+	sys.BindK8sDomain(b)
 	return om
 }
 
 // BindIstio applies an Istio offer to bounds, analogously to BindK8s.
 func (sys *System) BindIstio(b *relational.Bounds, cfg *mesh.IstioConfig, offer Offer) *OfferMap {
-	return sys.bindIstio(b, cfg, offer, true)
+	om := &OfferMap{Infos: sys.ClassifyIstio(nil, cfg, nil, offer)}
+	sys.bindKnobs(b, &sys.istioKnobs, om.Infos, true)
+	return om
 }
 
 // BindIstioFree is BindIstio but leaves every tuple free in the bounds;
 // see BindK8sFree.
 func (sys *System) BindIstioFree(b *relational.Bounds, cfg *mesh.IstioConfig, offer Offer) *OfferMap {
-	return sys.bindIstio(b, cfg, offer, false)
-}
-
-func (sys *System) bindIstio(b *relational.Bounds, cfg *mesh.IstioConfig, offer Offer, pin bool) *OfferMap {
-	om := &OfferMap{}
-
-	portTables := []struct {
-		field Field
-		rel   *relational.Relation
-		get   func(*mesh.AuthorizationPolicy) []int
-	}{
-		{FieldIDenyTo, sys.IDenyTo, func(p *mesh.AuthorizationPolicy) []int { return p.DenyToPorts }},
-		{FieldIAllowTo, sys.IAllowTo, func(p *mesh.AuthorizationPolicy) []int { return p.AllowToPorts }},
-	}
-	for _, tbl := range portTables {
-		lower := relational.NewTupleSet(sys.Universe, 2)
-		upper := relational.NewTupleSet(sys.Universe, 2)
-		for _, shell := range sys.IstioShells {
-			var current []int
-			if cp := cfg.Policy(shell.Name); cp != nil {
-				current = tbl.get(cp)
-			}
-			for _, port := range sys.PortList {
-				key := strconv.Itoa(port)
-				present := containsInt(current, port)
-				state := offer.state(shell.Name, tbl.field, key)
-				t := relational.Tuple{
-					sys.Universe.MustIndex("ap:" + shell.Name),
-					sys.Universe.MustIndex(portAtom(port)),
-				}
-				if pin && state == StateFixed {
-					if present {
-						lower.Add(t)
-						upper.Add(t)
-					}
-				} else {
-					upper.Add(t)
-				}
-				om.Infos = append(om.Infos, KnobInfo{
-					Knob:    Knob{Policy: shell.Name, Field: tbl.field, Key: key},
-					Rel:     tbl.rel,
-					Tuple:   t,
-					State:   state,
-					Desired: present,
-				})
-			}
-		}
-		b.Bound(tbl.rel, lower, upper)
-	}
-
-	// Port exposure: the mesh's current listening ports are the concrete
-	// values; the offer decides which exposure decisions are negotiable.
-	{
-		lower := relational.NewTupleSet(sys.Universe, 2)
-		upper := relational.NewTupleSet(sys.Universe, 2)
-		for _, svc := range sys.Mesh.Services {
-			for _, port := range sys.PortList {
-				key := strconv.Itoa(port)
-				present := svc.Listens(port)
-				state := offer.state(svc.Name, FieldExposure, key)
-				t := relational.Tuple{
-					sys.Universe.MustIndex(svc.Name),
-					sys.Universe.MustIndex(portAtom(port)),
-				}
-				if pin && state == StateFixed {
-					if present {
-						lower.Add(t)
-						upper.Add(t)
-					}
-				} else {
-					upper.Add(t)
-				}
-				om.Infos = append(om.Infos, KnobInfo{
-					Knob:    Knob{Policy: svc.Name, Field: FieldExposure, Key: key},
-					Rel:     sys.ActivePorts,
-					Tuple:   t,
-					State:   state,
-					Desired: present,
-				})
-			}
-		}
-		b.Bound(sys.ActivePorts, lower, upper)
-	}
-
-	svcTables := []struct {
-		field Field
-		rel   *relational.Relation
-		get   func(*mesh.AuthorizationPolicy) []string
-	}{
-		{FieldIDenyFrom, sys.IDenyFrom, func(p *mesh.AuthorizationPolicy) []string { return p.DenyFromServices }},
-		{FieldIAllowFrom, sys.IAllowFrom, func(p *mesh.AuthorizationPolicy) []string { return p.AllowFromServices }},
-	}
-	for _, tbl := range svcTables {
-		lower := relational.NewTupleSet(sys.Universe, 2)
-		upper := relational.NewTupleSet(sys.Universe, 2)
-		for _, shell := range sys.IstioShells {
-			var current []string
-			if cp := cfg.Policy(shell.Name); cp != nil {
-				current = tbl.get(cp)
-			}
-			for _, svc := range sys.Mesh.Services {
-				key := svc.Name
-				present := containsStr(current, key)
-				state := offer.state(shell.Name, tbl.field, key)
-				t := relational.Tuple{
-					sys.Universe.MustIndex("ap:" + shell.Name),
-					sys.Universe.MustIndex(svc.Name),
-				}
-				if pin && state == StateFixed {
-					if present {
-						lower.Add(t)
-						upper.Add(t)
-					}
-				} else {
-					upper.Add(t)
-				}
-				om.Infos = append(om.Infos, KnobInfo{
-					Knob:    Knob{Policy: shell.Name, Field: tbl.field, Key: key},
-					Rel:     tbl.rel,
-					Tuple:   t,
-					State:   state,
-					Desired: present,
-				})
-			}
-		}
-		b.Bound(tbl.rel, lower, upper)
-	}
+	om := &OfferMap{Infos: sys.ClassifyIstio(nil, cfg, nil, offer)}
+	sys.BindIstioDomain(b)
 	return om
 }
 

@@ -65,6 +65,9 @@ type System struct {
 	// Istio-configurable relations.
 	IDenyTo, IAllowTo     *relational.Relation // AuthPol×Port
 	IDenyFrom, IAllowFrom *relational.Relation // AuthPol×Service
+
+	// Each party's configurable knobs, recorded once (see knobTable).
+	k8sKnobs, istioKnobs knobTable
 }
 
 // NewSystem builds the vocabulary for a mesh, policy shells, and any extra
@@ -149,6 +152,7 @@ func NewSystem(m *mesh.Mesh, k8sShells []*mesh.NetworkPolicy, istioShells []*mes
 		IAllowFrom: relational.NewRelation(
 			"allow_from_service", 2),
 	}
+	sys.buildKnobTables()
 	return sys, nil
 }
 
@@ -173,7 +177,8 @@ func (sys *System) PortConst(p int) relational.Expr {
 }
 
 // NewBounds creates bounds with every structural relation bound exactly.
-// Configurable relations are added by K8sOffer/IstioOffer application.
+// Configurable relations are added by BindK8s/BindIstio and their
+// variants.
 func (sys *System) NewBounds() *relational.Bounds {
 	u := sys.Universe
 	b := relational.NewBounds(u)

@@ -33,6 +33,10 @@ type SolveCache struct {
 	// use, so Evict can drop the least-recently-used session first.
 	clock     int64
 	evictions int64
+	// dropped holds the cumulative counters of evicted sessions (see
+	// ReuseStats), so Stats never goes down across Evict. Its gauges
+	// stay zero.
+	dropped ReuseStats
 }
 
 // NewSolveCache creates an empty cache.
@@ -49,16 +53,21 @@ type ReuseStats struct {
 	// Evictions is the number of live sessions dropped by Evict — the
 	// price of keeping a long-lived cache under a memory budget.
 	Evictions int64
-	// Translation aggregates the translation-cache counters across all
-	// live sessions.
+	// Translation aggregates the translation-cache counters across every
+	// session the cache has built, evicted ones included.
 	Translation relational.CacheStats
-	// Encoding aggregates encoding-size counters across all live sessions.
+	// Encoding aggregates encoding-size counters: its gauges across the
+	// live sessions, its cumulative counters across every session the
+	// cache has built.
 	Encoding EncodingStats
 }
 
-// EncodingStats sizes the encoding pipeline across live sessions: how big
-// the circuits and clause databases are, and how much the preprocessing
-// layers took off.
+// EncodingStats sizes the encoding pipeline: how big the circuits and
+// clause databases are, and how much the preprocessing layers took off.
+// CircuitNodes, SolverVars, SolverClauses, LearntClauses, VarsEliminated
+// and ArenaBytes are gauges of live sessions; ClausesRemoved, Restored,
+// ChronoBacktracks and OTFSubsumed are cumulative counters, which a
+// SolveCache keeps for the sessions it evicts.
 type EncodingStats struct {
 	// CircuitNodes is the total number of AIG nodes allocated.
 	CircuitNodes int64
@@ -116,6 +125,16 @@ func (e *EncodingStats) add(t EncodingStats) {
 	e.OTFSubsumed += t.OTFSubsumed
 }
 
+// counters returns e's cumulative counters alone, its gauges zeroed.
+func (e EncodingStats) counters() EncodingStats {
+	return EncodingStats{
+		ClausesRemoved:   e.ClausesRemoved,
+		Restored:         e.Restored,
+		ChronoBacktracks: e.ChronoBacktracks,
+		OTFSubsumed:      e.OTFSubsumed,
+	}
+}
+
 // sessionEncodingStats snapshots one live session's encoding sizes.
 func sessionEncodingStats(ss *relational.Session) EncodingStats {
 	s := ss.Solver()
@@ -153,6 +172,7 @@ func (c *SolveCache) Stats() ReuseStats {
 		return ReuseStats{}
 	}
 	st := ReuseStats{Sessions: c.sessions, Reuses: c.reuses, Evictions: c.evictions}
+	st.Add(c.dropped)
 	for _, ws := range c.entries {
 		t := ws.ss.CacheStats()
 		st.Translation.PointerHits += t.PointerHits
@@ -164,10 +184,10 @@ func (c *SolveCache) Stats() ReuseStats {
 }
 
 // specsKey identifies a workspace shape: each participant's name, role,
-// and configuration domain (the relation identities bindFree binds), in
+// and configuration domain (the relation identities bindDomain binds), in
 // order. The key is deliberately shape-based rather than party-pointer
 // based: the session state a workspace reuses — bounds, grounding caches,
-// CNF, learnt clauses — depends only on the domain relations (bindFree's
+// CNF, learnt clauses — depends only on the domain relations (bindDomain's
 // bounds are configuration-independent), so a freshly built party with the
 // same name and domain can be served from the same live session. Its
 // goals and offers are per-call state, re-derived by reset; re-compiled
@@ -200,7 +220,6 @@ func (c *SolveCache) workspaceFor(sys *encode.System, specs []partySpec) *worksp
 		// The hit may be for different party objects of the same shape:
 		// adopt the new specs before reset re-derives the per-call state.
 		ws.specs = specs
-		clear(ws.oms)
 		ws.reset()
 		return ws
 	}
@@ -238,7 +257,7 @@ func (c *SolveCache) ApproxBytes() int64 {
 // their circuits, clause databases and learnt clauses to the collector.
 // It returns the number evicted. An evicted shape simply rebuilds on its
 // next use — eviction trades warm-start latency for memory, never
-// correctness.
+// correctness. The dropped sessions' cumulative counters stay in Stats.
 func (c *SolveCache) Evict(n int) int {
 	if c == nil || n <= 0 {
 		return 0
@@ -252,6 +271,10 @@ func (c *SolveCache) Evict(n int) int {
 				lruKey, lru = k, ws
 			}
 		}
+		c.dropped.Add(ReuseStats{
+			Translation: lru.ss.CacheStats(),
+			Encoding:    sessionEncodingStats(lru.ss).counters(),
+		})
 		delete(c.entries, lruKey)
 		c.evictions++
 		evicted++

@@ -226,3 +226,49 @@ func TestSolveCacheBoundedEviction(t *testing.T) {
 		t.Fatal("nil cache must be empty and inert")
 	}
 }
+
+// TestSolveCacheStatsSurviveEviction: Evict drops a session but not what
+// it counted. The translation counters and the cumulative encoding
+// counters read the same after each eviction as before it, while the
+// gauges describe the live sessions only.
+func TestSolveCacheStatsSurviveEviction(t *testing.T) {
+	f := loadFixture(t)
+	ctx := context.Background()
+	cache := NewSolveCache()
+	for i := 0; i < 2; i++ {
+		k8sParty, istioParty := mkPartyPair(t, f, false)
+		if res := cache.LocalConsistencyCtx(ctx, f.sys, k8sParty, []*Party{istioParty}, sat.Budget{}); !res.OK {
+			t.Fatal("must be consistent")
+		}
+		if res := cache.ReconcileCtx(ctx, f.sys, []*Party{k8sParty, istioParty}, sat.Budget{}); !res.OK {
+			t.Fatal("must reconcile")
+		}
+	}
+	before := cache.Stats()
+	if before.Translation.Misses == 0 || before.Translation.StructHits == 0 {
+		t.Fatalf("test setup: want misses and structural hits, got %+v", before.Translation)
+	}
+	counters := func(st ReuseStats) [7]int64 {
+		return [7]int64{
+			st.Translation.PointerHits, st.Translation.StructHits, st.Translation.Misses,
+			st.Encoding.ClausesRemoved, st.Encoding.Restored,
+			st.Encoding.ChronoBacktracks, st.Encoding.OTFSubsumed,
+		}
+	}
+	for cache.Len() > 0 {
+		if n := cache.Evict(1); n != 1 {
+			t.Fatalf("evicted %d, want 1", n)
+		}
+		after := cache.Stats()
+		if counters(after) != counters(before) {
+			t.Fatalf("eviction %d changed the cumulative counters: %v -> %v",
+				after.Evictions, counters(before), counters(after))
+		}
+		before = after
+	}
+	enc := cache.Stats().Encoding
+	if enc.CircuitNodes != 0 || enc.SolverVars != 0 || enc.SolverClauses != 0 ||
+		enc.LearntClauses != 0 || enc.VarsEliminated != 0 || enc.ArenaBytes != 0 {
+		t.Fatalf("gauges of an empty cache must be zero: %+v", enc)
+	}
+}

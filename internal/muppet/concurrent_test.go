@@ -12,9 +12,12 @@ import (
 // TestConcurrentQueries hammers one shared encode.System from many
 // goroutines, each owning its parties and SolveCache — the concurrency
 // contract documented on encode.System, enforced by `go test -race`.
+// Every warm reset classifies the parties' offers against the System's
+// shared knob table, so each worker resets each of its two session
+// shapes (check and reconcile) at least three times.
 func TestConcurrentQueries(t *testing.T) {
 	f := loadFixture(t)
-	const workers, queriesPer = 8, 4
+	const workers, queriesPer = 8, 12
 
 	err := FanOut(context.Background(), workers, workers, func(ctx context.Context, w int) error {
 		// Build this worker's own parties inline: t.Fatal must not be
@@ -49,6 +52,9 @@ func TestConcurrentQueries(t *testing.T) {
 					return fmt.Errorf("worker %d query %d: cannot reconcile: %v", w, q, res.Feedback)
 				}
 			}
+		}
+		if st := cache.Stats(); st.Sessions != 2 || st.Reuses < 6 {
+			return fmt.Errorf("worker %d: %d sessions and %d reuses, want 2 shapes reset 3 times each", w, st.Sessions, st.Reuses)
 		}
 		return nil
 	})

@@ -31,6 +31,12 @@ type NamedGoal struct {
 // an offer: a concrete configuration plus the leeway (soft/hole knobs)
 // granted to the solver. Parties are mutable across negotiation rounds —
 // revisions replace goals and offers.
+//
+// A solving session splits a party in two. Its domain's bounds leave
+// every knob free and depend only on the System, so the session binds
+// them once, when it is built (bindDomain). Its offer and configuration
+// change between calls, so each call classifies the knobs afresh
+// (classify) against the System's shared knob table.
 type Party struct {
 	Name string
 
@@ -40,9 +46,14 @@ type Party struct {
 	// Domain is dom(party): the relations this party configures.
 	Domain []*relational.Relation
 
-	// bindFree binds the party's configurable relations fully free in the
-	// bounds and classifies each knob per the current offer.
-	bindFree func(*relational.Bounds) *encode.OfferMap
+	// bindDomain binds the party's configurable relations fully free in
+	// the bounds.
+	bindDomain func(*relational.Bounds)
+
+	// classify returns the party's knobs classified per its current offer
+	// and configuration, reusing dst's storage (see
+	// encode.System.ClassifyK8s).
+	classify func(dst []encode.KnobInfo) []encode.KnobInfo
 
 	// fixed returns the party's concrete settings (plus its private
 	// structure) for envelope substitution.
@@ -98,10 +109,11 @@ type K8sPartyState struct {
 func NewK8sParty(sys *encode.System, cfg *mesh.K8sConfig, offer encode.Offer, rows []goals.K8sGoal) (*Party, *K8sPartyState, error) {
 	st := &K8sPartyState{Sys: sys, Config: mesh.CloneK8s(cfg), Offer: offer}
 	p := &Party{
-		Name:   "K8s",
-		Domain: sys.K8sRelations(),
-		bindFree: func(b *relational.Bounds) *encode.OfferMap {
-			return sys.BindK8sFree(b, st.Config, st.Offer)
+		Name:       "K8s",
+		Domain:     sys.K8sRelations(),
+		bindDomain: sys.BindK8sDomain,
+		classify: func(dst []encode.KnobInfo) []encode.KnobInfo {
+			return sys.ClassifyK8s(dst, st.Config, st.Offer)
 		},
 		fixed: func() map[*relational.Relation]*relational.TupleSet {
 			return sys.SenderTupleSets(st.Config, nil, nil)
@@ -137,20 +149,11 @@ type IstioPartyState struct {
 func NewIstioParty(sys *encode.System, cfg *mesh.IstioConfig, offer encode.Offer, rows []goals.IstioGoal) (*Party, *IstioPartyState, error) {
 	st := &IstioPartyState{Sys: sys, Config: mesh.CloneIstio(cfg), Offer: offer}
 	p := &Party{
-		Name:   "Istio",
-		Domain: sys.IstioRelations(),
-		bindFree: func(b *relational.Bounds) *encode.OfferMap {
-			om := sys.BindIstioFree(b, st.Config, st.Offer)
-			if st.Exposure != nil {
-				// Re-derive exposure knob desires from the override.
-				for i := range om.Infos {
-					ki := &om.Infos[i]
-					if ki.Knob.Field == encode.FieldExposure {
-						ki.Desired = exposureHas(st.Exposure, ki.Knob.Policy, ki.Knob.Key)
-					}
-				}
-			}
-			return om
+		Name:       "Istio",
+		Domain:     sys.IstioRelations(),
+		bindDomain: sys.BindIstioDomain,
+		classify: func(dst []encode.KnobInfo) []encode.KnobInfo {
+			return sys.ClassifyIstio(dst, st.Config, st.Exposure, st.Offer)
 		},
 		fixed: func() map[*relational.Relation]*relational.TupleSet {
 			return sys.SenderTupleSets(nil, st.Config, st.Exposure)
@@ -183,13 +186,4 @@ func NewIstioParty(sys *encode.System, cfg *mesh.IstioConfig, offer encode.Offer
 		p.Goals = append(p.Goals, NamedGoal{Name: name, Formula: f})
 	}
 	return p, st, nil
-}
-
-func exposureHas(exposure map[string][]int, svc, key string) bool {
-	for _, p := range exposure[svc] {
-		if fmt.Sprintf("%d", p) == key {
-			return true
-		}
-	}
-	return false
 }

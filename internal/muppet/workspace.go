@@ -31,15 +31,18 @@ type partySpec struct {
 // survives across calls, and reset re-derives the per-call state — goal
 // literals hit the translator's caches, unchanged fixed-knob groups reuse
 // their memoised selectors, and only genuinely new constraints are ground.
-// The bounds from bindFree are configuration-independent (lower empty,
+// The bounds are bound once, when the workspace is built, from each
+// party's bindDomain: they are configuration-independent (lower empty,
 // upper everything), which is what makes one persistent session per
-// workspace shape sound.
+// workspace shape sound. A call's offers reach the workspace only through
+// knob classification.
 type workspace struct {
 	sys   *encode.System
 	ss    *relational.Session
 	specs []partySpec
-	b     *relational.Bounds
-	oms   map[*Party]*encode.OfferMap
+	// knobs[i] holds specs[i]'s knobs as the latest populate classified
+	// them; reset reuses the storage.
+	knobs [][]encode.KnobInfo
 
 	// reusable marks a cache-owned workspace: run must leave the clause
 	// set clean (assumption-based minimisation, no hardening).
@@ -82,18 +85,19 @@ type softRef struct {
 }
 
 func newWorkspace(sys *encode.System, specs []partySpec, reusable bool) *workspace {
+	// Bind every party's relations before the session is built: the
+	// translator allocates its relation variables eagerly at construction.
 	b := sys.NewBounds()
+	for _, sp := range specs {
+		sp.party.bindDomain(b)
+	}
 	ws := &workspace{
 		sys:       sys,
 		specs:     specs,
-		b:         b,
+		knobs:     make([][]encode.KnobInfo, len(specs)),
 		reusable:  reusable,
-		oms:       make(map[*Party]*encode.OfferMap),
 		fixedSels: make(map[string]sat.Lit),
 	}
-	// Bind every party's relations before the session is built: the
-	// translator allocates its relation variables eagerly at construction.
-	ws.bindOffers()
 	cfg := EncodingConfig()
 	satOpts := sat.Options{DisableSimp: cfg.NoPreprocess}
 	if !reusable {
@@ -167,33 +171,27 @@ func unpackEncoding(f uint32) Encoding {
 	}
 }
 
-// bindOffers (re-)binds each party's free bounds and captures the offer
-// maps reflecting the party's current configuration. The bounds content is
-// configuration-independent (lower empty, upper everything), so re-binding
-// on a live session is an idempotent no-op on the solver side; only the
-// returned offer maps change.
-func (ws *workspace) bindOffers() {
-	for _, sp := range ws.specs {
-		ws.oms[sp.party] = sp.party.bindFree(ws.b)
-	}
-}
-
 // populate derives the per-call state from the parties' current offers and
 // goals. On a fresh workspace everything grounds for the first time; on a
 // reused one the translator and selector memos make it incremental.
 func (ws *workspace) populate() {
-	for _, sp := range ws.specs {
+	for i, sp := range ws.specs {
 		if sp.includeGoals {
 			for _, g := range sp.party.Goals {
 				lit := ws.ss.Lit(g.Formula)
 				ws.addNamed(sp.party.Name+"/"+g.Name, lit)
 			}
 		}
-		om := ws.oms[sp.party]
+		ws.knobs[i] = sp.party.classify(ws.knobs[i])
+		infos := ws.knobs[i]
 		if sp.enforceFixed {
-			ws.enforceFixed(sp.party, om)
+			ws.enforceFixed(sp.party, infos)
 		}
-		for _, ki := range om.SoftInfos() {
+		for j := range infos {
+			ki := &infos[j]
+			if ki.State != encode.StateSoft {
+				continue
+			}
 			lit, ok := ws.ss.TupleLit(ki.Rel, ki.Tuple)
 			if !ok {
 				continue
@@ -202,36 +200,37 @@ func (ws *workspace) populate() {
 				lit = lit.Not()
 			}
 			ws.softLits = append(ws.softLits, lit)
-			ws.softInfo = append(ws.softInfo, softRef{party: sp.party, info: ki})
+			ws.softInfo = append(ws.softInfo, softRef{party: sp.party, info: *ki})
 		}
 	}
 }
 
 // reset clears the per-call state and re-derives it from the parties'
-// current offers, leaving the live session (circuit, CNF, learnt clauses)
-// in place. Selectors of groups whose content changed simply stop being
-// assumed; their guarded clauses go inert.
+// current offers, leaving the live session (bounds, circuit, CNF, learnt
+// clauses) in place: it classifies each party's knobs and re-derives the
+// goal, fixed-group and soft literals, but binds no bounds. Selectors of
+// groups whose content changed simply stop being assumed; their guarded
+// clauses go inert.
 func (ws *workspace) reset() {
 	ws.named = ws.named[:0]
 	ws.assumps = ws.assumps[:0]
 	ws.softLits = ws.softLits[:0]
 	ws.softInfo = ws.softInfo[:0]
 	ws.rawCore = nil
-	ws.bindOffers()
 	ws.populate()
 }
 
 // enforceFixed groups a party's fixed knobs by (policy, field) and guards
 // each group with one selector, giving blame at the granularity an
 // administrator actually edits.
-func (ws *workspace) enforceFixed(p *Party, om *encode.OfferMap) {
+func (ws *workspace) enforceFixed(p *Party, infos []encode.KnobInfo) {
 	type groupKey struct {
 		policy string
 		field  encode.Field
 	}
 	groups := make(map[groupKey][]encode.KnobInfo)
 	var order []groupKey
-	for _, ki := range om.Infos {
+	for _, ki := range infos {
 		if ki.State != encode.StateFixed {
 			continue
 		}

@@ -56,14 +56,36 @@ func TestTranslationCacheStructuralHit(t *testing.T) {
 	if st.Misses != before.Misses {
 		t.Fatalf("misses grew on a structural hit: %d -> %d", before.Misses, st.Misses)
 	}
-	// The structural hit seeds the pointer cache only for the pointer it
-	// saw; a third fresh build is another structural hit, not a miss.
+	// A structural hit leaves the identity cache alone; a third fresh
+	// build is another structural hit, not a miss.
 	l3 := ss.Lit(mkFormula(r, e))
 	if l3 != l1 {
 		t.Fatalf("third build differs: %v vs %v", l3, l1)
 	}
 	if got := ss.CacheStats().StructHits; got != before.StructHits+2 {
 		t.Fatalf("structural hits = %d, want %d", got, before.StructHits+2)
+	}
+}
+
+// TestStructuralHitsDoNotPinFormulas checks that a warm session's
+// translator grows with new formula shapes, not with calls: a thousand
+// structurally identical formulas, each built from fresh nodes, leave the
+// identity cache as the first translation left it, so the caller's nodes
+// are not kept alive by the session.
+func TestStructuralHitsDoNotPinFormulas(t *testing.T) {
+	ss, r, e := cacheFixture(t)
+	first := ss.Lit(mkFormula(r, e))
+	entries := len(ss.tr.formCache)
+	for i := 1; i < 1000; i++ {
+		if l := ss.Lit(mkFormula(r, e)); l != first {
+			t.Fatalf("call %d: literal %v, want %v", i, l, first)
+		}
+		if n := len(ss.tr.formCache); n != entries {
+			t.Fatalf("call %d: identity cache grew from %d to %d entries", i, entries, n)
+		}
+	}
+	if st := ss.CacheStats(); st.StructHits != 999 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want 999 structural hits and 1 miss", st)
 	}
 }
 

@@ -309,9 +309,14 @@ func (tr *Translator) ordered(m *matrix) []cellRef {
 }
 
 // Formula grounds f into a circuit edge that is true exactly in the models
-// of f within the translator's bounds. Repeated calls are cheap: the same
-// node grounds once (identity cache), and a structurally identical formula
-// built from fresh nodes reuses the prior circuit edge (structural cache).
+// of f within the translator's bounds. Repeated calls are cheap: a node
+// this translator grounded itself answers from the identity cache, and a
+// structurally identical formula built from fresh nodes reuses the prior
+// circuit edge (structural cache). A structural hit does not enter the
+// caller's pointer into the identity cache: a warm session sees fresh
+// goal and envelope nodes on every request, and keeping each one would
+// pin every request's formulas for the session's lifetime. The tables
+// grow with new formula shapes only.
 func (tr *Translator) Formula(f Formula) boolcirc.Ref {
 	// Successful top-level calls are closed formulas (an unbound variable
 	// panics during translation), so the empty env key identifies them.
@@ -322,7 +327,6 @@ func (tr *Translator) Formula(f Formula) boolcirc.Ref {
 	key := tr.structKey(f)
 	if r, hit := tr.structCache[string(key)]; hit {
 		tr.stats.StructHits++
-		tr.formCache[formKey{f: f, env: 0}] = r
 		return r
 	}
 	tr.stats.Misses++

@@ -256,7 +256,7 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	fmt.Fprintln(w, "# TYPE muppetd_session_reuses_total counter")
 	fmt.Fprintf(w, "muppetd_session_reuses_total %d\n", reuse.Reuses)
 
-	fmt.Fprintln(w, "# HELP muppetd_translation_cache_total Translation-cache events across live sessions, by kind.")
+	fmt.Fprintln(w, "# HELP muppetd_translation_cache_total Translation-cache events across every session built, evicted ones included, by kind.")
 	fmt.Fprintln(w, "# TYPE muppetd_translation_cache_total counter")
 	fmt.Fprintf(w, "muppetd_translation_cache_total{kind=\"pointer_hit\"} %d\n", reuse.Translation.PointerHits)
 	fmt.Fprintf(w, "muppetd_translation_cache_total{kind=\"struct_hit\"} %d\n", reuse.Translation.StructHits)
@@ -278,7 +278,7 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	fmt.Fprintln(w, "# TYPE muppetd_encoding_vars_eliminated gauge")
 	fmt.Fprintf(w, "muppetd_encoding_vars_eliminated %d\n", reuse.Encoding.VarsEliminated)
 
-	fmt.Fprintln(w, "# HELP muppetd_encoding_clauses_removed_total Clauses removed by CNF preprocessing across live sessions.")
+	fmt.Fprintln(w, "# HELP muppetd_encoding_clauses_removed_total Clauses removed by CNF preprocessing across every session built.")
 	fmt.Fprintln(w, "# TYPE muppetd_encoding_clauses_removed_total counter")
 	fmt.Fprintf(w, "muppetd_encoding_clauses_removed_total %d\n", reuse.Encoding.ClausesRemoved)
 
@@ -286,15 +286,15 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	fmt.Fprintln(w, "# TYPE muppetd_solver_arena_bytes gauge")
 	fmt.Fprintf(w, "muppetd_solver_arena_bytes %d\n", reuse.Encoding.ArenaBytes)
 
-	fmt.Fprintln(w, "# HELP muppetd_solver_chrono_backtracks_total Chronological backtracks taken instead of long backjumps, across live sessions.")
+	fmt.Fprintln(w, "# HELP muppetd_solver_chrono_backtracks_total Chronological backtracks taken instead of long backjumps, across every session built.")
 	fmt.Fprintln(w, "# TYPE muppetd_solver_chrono_backtracks_total counter")
 	fmt.Fprintf(w, "muppetd_solver_chrono_backtracks_total %d\n", reuse.Encoding.ChronoBacktracks)
 
-	fmt.Fprintln(w, "# HELP muppetd_solver_otf_subsumed_total Conflict clauses deleted by on-the-fly subsumption, across live sessions.")
+	fmt.Fprintln(w, "# HELP muppetd_solver_otf_subsumed_total Conflict clauses deleted by on-the-fly subsumption, across every session built.")
 	fmt.Fprintln(w, "# TYPE muppetd_solver_otf_subsumed_total counter")
 	fmt.Fprintf(w, "muppetd_solver_otf_subsumed_total %d\n", reuse.Encoding.OTFSubsumed)
 
-	fmt.Fprintln(w, "# HELP muppetd_solver_restored_total Variables un-eliminated because an incremental addition touched them, across live sessions.")
+	fmt.Fprintln(w, "# HELP muppetd_solver_restored_total Variables un-eliminated because an incremental addition touched them, across every session built.")
 	fmt.Fprintln(w, "# TYPE muppetd_solver_restored_total counter")
 	fmt.Fprintf(w, "muppetd_solver_restored_total %d\n", reuse.Encoding.Restored)
 

@@ -491,6 +491,80 @@ func scrapeCounters(t *testing.T, hs *httptest.Server) map[string]float64 {
 	return out
 }
 
+// sessionCounters are the /metrics counters summed from solving sessions'
+// own cumulative counts, which a session's eviction must not take away.
+var sessionCounters = []string{
+	`muppetd_translation_cache_total{kind="pointer_hit"}`,
+	`muppetd_translation_cache_total{kind="struct_hit"}`,
+	`muppetd_translation_cache_total{kind="miss"}`,
+	"muppetd_encoding_clauses_removed_total",
+	"muppetd_solver_chrono_backtracks_total",
+	"muppetd_solver_otf_subsumed_total",
+	"muppetd_solver_restored_total",
+}
+
+// scrapeSeries reads the named series, labels included, from /metrics.
+func scrapeSeries(t *testing.T, hs *httptest.Server, names []string) map[string]float64 {
+	t.Helper()
+	res, err := hs.Client().Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	body, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || !slices.Contains(names, series) {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	if len(out) != len(names) {
+		t.Fatalf("scraped %d of %d series: %v", len(out), len(names), out)
+	}
+	return out
+}
+
+// TestEvictionKeepsSessionCounters: under a one-byte budget every session
+// is evicted at checkin, so the counters on /metrics that sum sessions'
+// cumulative counts must come from the evicted sessions. They must show
+// the translations the traffic did, and never go down between scrapes.
+func TestEvictionKeepsSessionCounters(t *testing.T) {
+	dir := t.TempDir()
+	tenantManifest(t, dir, "acme", goalsBan23)
+	s := multiTenantServer(t, dir, Options{Concurrency: 1, QueueDepth: 4, CacheBudgetBytes: 1})
+	defer s.Close()
+	hs := httptest.NewServer(s)
+	defer hs.Close()
+
+	prev := scrapeSeries(t, hs, sessionCounters)
+	for round := 1; round <= 3; round++ {
+		for _, req := range []Request{{Op: "reconcile"}, {Op: "check", Party: "k8s"}} {
+			if res, _ := postTenantOp(t, hs.Client(), hs.URL, "acme", req); res.StatusCode != http.StatusOK {
+				t.Fatalf("%s: HTTP %d", req.Op, res.StatusCode)
+			}
+		}
+		cur := scrapeSeries(t, hs, sessionCounters)
+		for _, series := range sessionCounters {
+			if cur[series] < prev[series] {
+				t.Errorf("round %d: %s went down from %v to %v", round, series, prev[series], cur[series])
+			}
+		}
+		prev = cur
+	}
+	if miss := prev[`muppetd_translation_cache_total{kind="miss"}`]; miss <= 0 {
+		t.Fatalf("translation misses = %v after six requests on evicted sessions, want > 0", miss)
+	}
+}
+
 // TestPoolCountersSurviveReload: the pool counters on /metrics count per
 // tenant, not per revision. A reload that keeps the universe keeps the
 // pool; one that changes it hands the retired pool's counts to the new

@@ -3,10 +3,13 @@ package muppet_test
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"muppet"
+	"muppet/internal/server"
+	tenantpool "muppet/internal/tenant"
 )
 
 // fig1System builds the Fig. 1 system plus loaded goal sets, shared by the
@@ -177,5 +180,110 @@ func TestWarmReconcileAllocGate(t *testing.T) {
 	t.Logf("cold=%d warm=%d allocs (warm/cold = %.1f%%)", cold, warm, 100*float64(warm)/float64(cold))
 	if warm*4 >= cold {
 		t.Fatalf("warm reconcile allocated %d objects, >= 25%% of the cold build's %d: session reuse has regressed", warm, cold)
+	}
+}
+
+// corpusState loads the serving state of one testdata/corpus case.
+func corpusState(t *testing.T, name string) *server.State {
+	t.Helper()
+	st, _, err := server.ManifestLoader(filepath.Join("testdata/corpus", name, tenantpool.ManifestName))()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// serveOps is the op mix muppetbench's serve workload sends.
+var serveOps = []server.Request{
+	{Op: "check", Party: "k8s"},
+	{Op: "check", Party: "istio"},
+	{Op: "envelope", From: "k8s", To: "istio"},
+	{Op: "reconcile"},
+	{Op: "conform", Provider: "k8s"},
+	{Op: "negotiate"},
+}
+
+// liveHeap reports the bytes still reachable after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestWarmServingHeapStaysFlat serves the six ops of the serve mix from
+// one warm SolveCache, round after round, the way a daemon worker does.
+// Every request builds fresh parties, so its goal formulas are fresh
+// nodes that the session answers from its structural cache. The session
+// must not keep them: its live heap may grow with new formula shapes and
+// learnt clauses, but not with the number of requests served.
+func TestWarmServingHeapStaysFlat(t *testing.T) {
+	st := corpusState(t, "s6-seed1-relaxed")
+	cache := muppet.NewSolveCache()
+	ctx := context.Background()
+	var base int64
+	for round := 1; round <= 100; round++ {
+		for _, req := range serveOps {
+			if _, err := server.Exec(ctx, st, cache, req, muppet.Budget{}); err != nil {
+				t.Fatalf("round %d, %s: %v", round, req.Op, err)
+			}
+		}
+		if round == 10 {
+			base = liveHeap()
+		}
+	}
+	grown := liveHeap() - base
+	runtime.KeepAlive(cache)
+	t.Logf("live heap grew %d KiB from round 10 to round 100", grown>>10)
+	if grown >= 2<<20 {
+		t.Fatalf("live heap grew %d KiB over 90 warm rounds, want < 2048 KiB: the warm session retains per-request state", grown>>10)
+	}
+}
+
+// perRun reports the mean heap objects and bytes one call of f allocates,
+// measured at GOMAXPROCS=1 after a warm-up call.
+func perRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestWarmServedReconcileAllocs pins what one warm reconcile allocates on
+// the services=12 corpus case, served through server.Exec as the daemon
+// serves it: objects and bytes per request within 25% either side of the
+// values recorded when the test was written. A warm request classifies
+// its parties' offers against the System's knob table and reuses the
+// session's bounds, so most of what it allocates is its own party build,
+// solve and render.
+func TestWarmServedReconcileAllocs(t *testing.T) {
+	const wantObjects, wantBytes = 3014, 249863
+	st := corpusState(t, "s12-seed7-relaxed")
+	cache := muppet.NewSolveCache()
+	ctx := context.Background()
+	reconcile := func() {
+		if resp, err := server.Exec(ctx, st, cache, server.Request{Op: "reconcile"}, muppet.Budget{}); err != nil || resp.Code != server.CodeSat {
+			t.Fatalf("reconcile: code %d, err %v", resp.Code, err)
+		}
+	}
+	reconcile() // the cold build
+	objects, bytes := perRun(10, reconcile)
+	if st := cache.Stats(); st.Sessions != 1 {
+		t.Fatalf("warm reconciles built %d sessions, want 1", st.Sessions)
+	}
+	t.Logf("warm reconcile: %.0f objects, %.0f KiB per request", objects, bytes/1024)
+	for _, m := range []struct {
+		name      string
+		got, want float64
+	}{{"objects", objects, wantObjects}, {"bytes", bytes, wantBytes}} {
+		if m.got < 0.75*m.want || m.got > 1.25*m.want {
+			t.Errorf("%s per warm reconcile = %.0f, want %.0f ± 25%%", m.name, m.got, m.want)
+		}
 	}
 }
