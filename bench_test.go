@@ -8,6 +8,7 @@ package muppet_test
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"muppet"
@@ -16,6 +17,8 @@ import (
 	"muppet/internal/envelope"
 	"muppet/internal/relational"
 	"muppet/internal/sat"
+	"muppet/internal/server"
+	tenantpool "muppet/internal/tenant"
 )
 
 // walkthrough loads the Sec. 3 / Fig. 1 scenario.
@@ -320,6 +323,47 @@ func BenchmarkScalingSweep(b *testing.B) {
 			}
 			reportReuse(b, cache.Stats())
 		})
+	}
+}
+
+// BenchmarkColdCorpusMix runs muppetbench's cold op mix in process, so
+// the one-shot path can be profiled without the benchmark harness:
+//
+//	go test -run '^$' -bench ColdCorpusMix -cpuprofile cpu.pprof .
+//
+// One iteration is one mix: 8 relaxed reconciles, 5 strict reconciles, 2
+// checks per party and 1 conform, each a fresh load of a services=12
+// corpus case and a server.Exec with a nil cache. The n-th op of a kind
+// runs on the n-th seed in turn.
+func BenchmarkColdCorpusMix(b *testing.B) {
+	seeds := []string{"s12-seed7", "s12-seed23"}
+	mix := []struct {
+		variant string
+		req     server.Request
+		code    int
+		weight  int
+	}{
+		{"relaxed", server.Request{Op: "reconcile"}, server.CodeSat, 8},
+		{"strict", server.Request{Op: "reconcile"}, server.CodeUnsat, 5},
+		{"relaxed", server.Request{Op: "check", Party: "k8s"}, server.CodeSat, 2},
+		{"relaxed", server.Request{Op: "check", Party: "istio"}, server.CodeSat, 2},
+		{"relaxed", server.Request{Op: "conform", Provider: "k8s"}, server.CodeSat, 1},
+	}
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		for _, op := range mix {
+			for n := 0; n < op.weight; n++ {
+				name := seeds[n%len(seeds)] + "-" + op.variant
+				st, _, err := server.ManifestLoader(filepath.Join("testdata/corpus", name, tenantpool.ManifestName))()
+				if err != nil {
+					b.Fatal(err)
+				}
+				resp, err := server.Exec(ctx, st, nil, op.req, muppet.Budget{})
+				if err != nil || resp.Code != op.code {
+					b.Fatalf("%s %s: code %d, want %d, err %v", name, op.req.Op, resp.Code, op.code, err)
+				}
+			}
+		}
 	}
 }
 

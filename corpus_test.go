@@ -112,3 +112,43 @@ func TestCorpusGoldenOutputs(t *testing.T) {
 		})
 	}
 }
+
+// TestColdCorpusAllocs pins what the one-shot path allocates on the
+// services=12 corpus cases: one nil-cache load plus server.Exec per query
+// of the case, the way `muppet <op> -files` answers, with objects and
+// bytes per list within 25% either side of the values recorded when the
+// test was written. Grounding dominates these counts, so a translator
+// that rebuilds or re-sorts its matrices fails here.
+func TestColdCorpusAllocs(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name                   string
+		wantObjects, wantBytes float64
+	}{
+		{"s12-seed7-relaxed", 225520, 172145040},
+		{"s12-seed7-strict", 87060, 28772836},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := filepath.Join("testdata/corpus", c.name)
+			queries, err := loadCorpusQueries(filepath.Join(dir, "case.yaml"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			list := func() {
+				for _, q := range queries {
+					st, _, err := server.ManifestLoader(filepath.Join(dir, tenantpool.ManifestName))()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resp, err := server.Exec(ctx, st, nil, q.req, muppet.Budget{}); err != nil || resp.Code != q.code {
+						t.Fatalf("%s: code %d, want %d, err %v", q.expect, resp.Code, q.code, err)
+					}
+				}
+			}
+			objects, bytes := perRun(2, list)
+			t.Logf("%.0f objects, %.0f KiB per list", objects, bytes/1024)
+			checkWithin25(t, "objects per cold list", objects, c.wantObjects)
+			checkWithin25(t, "bytes per cold list", bytes, c.wantBytes)
+		})
+	}
+}

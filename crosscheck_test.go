@@ -286,10 +286,10 @@ func TestFig1EncodingSizes(t *testing.T) {
 		clauses, varsEliminated, clausesRemoved int
 		allocs, bytes                           float64
 	}{
-		{"full", sat.Options{}, boolcirc.CNFOptions{}, 201, 191, 217, 5792, 751013},
-		{"no-polarity", sat.Options{}, boolcirc.CNFOptions{NoPolarity: true}, 260, 177, 393, 6349, 885228},
-		{"no-simp", sat.Options{DisableSimp: true}, boolcirc.CNFOptions{}, 492, 0, 0, 5181, 473920},
-		{"legacy", sat.Options{DisableSimp: true}, boolcirc.CNFOptions{NoPolarity: true}, 801, 0, 0, 5800, 532465},
+		{"full", sat.Options{}, boolcirc.CNFOptions{}, 201, 191, 217, 4194, 725637},
+		{"no-polarity", sat.Options{}, boolcirc.CNFOptions{NoPolarity: true}, 260, 177, 393, 4751, 859859},
+		{"no-simp", sat.Options{DisableSimp: true}, boolcirc.CNFOptions{}, 492, 0, 0, 3583, 448562},
+		{"legacy", sat.Options{DisableSimp: true}, boolcirc.CNFOptions{NoPolarity: true}, 801, 0, 0, 4202, 507101},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := c.sat

@@ -2,8 +2,11 @@ package relational
 
 import (
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
+	"muppet/internal/boolcirc"
 	"muppet/internal/sat"
 )
 
@@ -318,7 +321,7 @@ func randomExpr(rng *rand.Rand, rp *randProblem, vars []*Var, arity, depth int) 
 		leaves = append(leaves, Const(ts))
 		return leaves[rng.Intn(len(leaves))]
 	}
-	switch rng.Intn(6) {
+	switch rng.Intn(8) {
 	case 0:
 		return Union(randomExpr(rng, rp, vars, arity, depth-1), randomExpr(rng, rp, vars, arity, depth-1))
 	case 1:
@@ -335,24 +338,51 @@ func randomExpr(rng *rand.Rand, rp *randProblem, vars []*Var, arity, depth int) 
 			return Transpose(randomExpr(rng, rp, vars, 2, depth-1))
 		}
 		return Join(randomExpr(rng, rp, vars, 1, depth-1), randomExpr(rng, rp, vars, 2, depth-1))
+	case 5:
+		if arity == 2 {
+			return Join(randomExpr(rng, rp, vars, 2, depth-1), randomExpr(rng, rp, vars, 2, depth-1))
+		}
+		return randomExpr(rng, rp, vars, arity, 0)
+	case 6:
+		// One declaration per column; a later domain may mention an
+		// earlier variable.
+		decls := make([]Decl, arity)
+		for i := range decls {
+			v := NewVar("v" + string(rune('0'+len(vars))))
+			decls[i] = NewDecl(v, randomExpr(rng, rp, vars, 1, depth-1))
+			vars = append(vars, v)
+		}
+		return Comprehension(decls, randomLeafFormula(rng, rp, vars, depth-1))
 	default:
 		return randomExpr(rng, rp, vars, arity, 0)
 	}
 }
 
+// randomLeafFormula compares or counts expressions of the given depth.
+func randomLeafFormula(rng *rand.Rand, rp *randProblem, vars []*Var, exprDepth int) Formula {
+	arity := 1 + rng.Intn(2)
+	e := randomExpr(rng, rp, vars, arity, exprDepth)
+	switch rng.Intn(6) {
+	case 0:
+		return In(e, randomExpr(rng, rp, vars, arity, exprDepth))
+	case 1:
+		return Equals(e, randomExpr(rng, rp, vars, arity, exprDepth))
+	case 2:
+		return Some(e)
+	case 3:
+		return One(e)
+	case 4:
+		return Lone(e)
+	default:
+		return No(e)
+	}
+}
+
 func randomFormula(rng *rand.Rand, rp *randProblem, vars []*Var, depth int) Formula {
 	if depth == 0 {
-		arity := 1 + rng.Intn(2)
-		switch rng.Intn(3) {
-		case 0:
-			return In(randomExpr(rng, rp, vars, arity, 1), randomExpr(rng, rp, vars, arity, 1))
-		case 1:
-			return Some(randomExpr(rng, rp, vars, arity, 1))
-		default:
-			return No(randomExpr(rng, rp, vars, arity, 1))
-		}
+		return randomLeafFormula(rng, rp, vars, 1)
 	}
-	switch rng.Intn(7) {
+	switch rng.Intn(8) {
 	case 0:
 		return And(randomFormula(rng, rp, vars, depth-1), randomFormula(rng, rp, vars, depth-1))
 	case 1:
@@ -369,6 +399,8 @@ func randomFormula(rng *rand.Rand, rp *randProblem, vars []*Var, depth int) Form
 		v := NewVar("v" + string(rune('0'+len(vars))))
 		return Exists([]Decl{NewDecl(v, randomExpr(rng, rp, vars, 1, 1))},
 			randomFormula(rng, rp, append(vars, v), depth-1))
+	case 6:
+		return Iff(randomFormula(rng, rp, vars, depth-1), randomFormula(rng, rp, vars, depth-1))
 	default:
 		return randomFormula(rng, rp, vars, 0)
 	}
@@ -397,9 +429,7 @@ func enumerateInstances(b *Bounds, fn func(*Instance) bool) bool {
 		}
 		for i, ft := range free {
 			if mask>>i&1 == 1 {
-				ts := inst.Get(ft.r)
-				ts.Add(ft.t)
-				inst.Set(ft.r, ts)
+				inst.Get(ft.r).Add(ft.t) // Set stored a copy, so add in place
 			}
 		}
 		if fn(inst) {
@@ -429,6 +459,117 @@ func TestTranslationMatchesEvaluator(t *testing.T) {
 			t.Fatalf("iter %d: instance does not satisfy formula %s\n%s", iter, f, inst)
 		}
 	}
+}
+
+// checkCircuit grounds f over rp's bounds and checks the translation
+// against the evaluator: every matrix the translator holds is strictly
+// increasing by tuple content with no False cell, and on every instance
+// within the bounds the circuit edge evaluates as Eval does. It returns
+// the number of instances checked.
+func checkCircuit(t testing.TB, rp *randProblem, f Formula) int {
+	t.Helper()
+	fac := boolcirc.New()
+	tr := NewTranslator(rp.b, fac)
+	edge := tr.Formula(f)
+	sorted := func(m matrix, what string) {
+		for i, c := range m {
+			if c.r == boolcirc.False {
+				t.Fatalf("%s: cell %v holds False\nformula: %s", what, tr.tuples[c.id], f)
+			}
+			if i > 0 && slices.Compare(tr.tuples[m[i-1].id], tr.tuples[c.id]) >= 0 {
+				t.Fatalf("%s: cell %v follows %v\nformula: %s", what, tr.tuples[c.id], tr.tuples[m[i-1].id], f)
+			}
+		}
+	}
+	for r, m := range tr.relMats {
+		sorted(m, "relation "+r.name)
+	}
+	for k, m := range tr.exprCache {
+		sorted(m, k.e.String())
+	}
+	vals := make([]bool, fac.NumVars())
+	n := 0
+	enumerateInstances(rp.b, func(in *Instance) bool {
+		for _, r := range rp.b.Relations() {
+			ext := in.Get(r)
+			for _, rv := range tr.RelationVars(r) {
+				vals[fac.VarID(rv.Ref)] = ext.Contains(rv.Tuple)
+			}
+		}
+		if got, want := fac.Eval(edge, func(id int) bool { return vals[id] }), Eval(f, in); got != want {
+			t.Fatalf("circuit says %v, Eval says %v\nformula: %s\ninstance:\n%s", got, want, f, in)
+		}
+		n++
+		return false
+	})
+	return n
+}
+
+// TestCircuitMatchesEvaluatorOnEveryInstance is the exhaustive form of
+// TestTranslationMatchesEvaluator: rather than one solver verdict per
+// formula, it compares the circuit with the evaluator on every instance.
+func TestCircuitMatchesEvaluatorOnEveryInstance(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	formulas, instances := 0, 0
+	for formulas < 400 {
+		rp := randomBounds(rng)
+		if rp.freeN > 10 {
+			continue // keep enumeration tractable
+		}
+		formulas++
+		instances += checkCircuit(t, rp, randomFormula(rng, rp, nil, 2+rng.Intn(2)))
+	}
+	t.Logf("%d formulas, %d instances", formulas, instances)
+}
+
+// TestMatricesSortedPastTenAtoms grounds over 12 atoms, where a tuple
+// set's string-keyed order ("1,10" before "1,2") is not content order, so
+// a relation or constant matrix left in that order fails checkCircuit.
+func TestMatricesSortedPastTenAtoms(t *testing.T) {
+	atoms := make([]string, 12)
+	for i := range atoms {
+		atoms[i] = "a" + strconv.Itoa(i)
+	}
+	u := NewUniverse(atoms...)
+	pairs := func(ps ...[2]int) *TupleSet {
+		ts := NewTupleSet(u, 2)
+		for _, p := range ps {
+			ts.Add(Tuple{p[0], p[1]})
+		}
+		return ts
+	}
+	r := NewRelation("R", 2)
+	s := NewRelation("S", 1)
+	b := NewBounds(u)
+	b.Bound(r, pairs([2]int{1, 10}), pairs([2]int{1, 2}, [2]int{1, 10}, [2]int{2, 11}, [2]int{10, 1}, [2]int{11, 3}))
+	b.Bound(s, NewTupleSet(u, 1), TupleSetOf(u, []string{"a1"}, []string{"a2"}, []string{"a10"}, []string{"a11"}))
+	k := Const(pairs([2]int{3, 10}, [2]int{3, 2}, [2]int{10, 11}, [2]int{2, 10}))
+	x := NewVar("x")
+	f := And(
+		Some(Union(Join(r, r), Transpose(k))),
+		Forall([]Decl{NewDecl(x, s)}, Implies(Some(Join(x, r)), In(Join(x, k), Join(s, r)))),
+		Lone(Intersect(r, k)),
+	)
+	rp := &randProblem{u: u, rels: []*Relation{r, s}, b: b, freeN: 8}
+	if n := checkCircuit(t, rp, f); n != 1<<rp.freeN {
+		t.Fatalf("checked %d instances, want %d", n, 1<<rp.freeN)
+	}
+}
+
+// FuzzTranslationMatchesEvaluator runs the checkCircuit comparison on the
+// problem and formula that a seed and a formula depth generate.
+func FuzzTranslationMatchesEvaluator(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, depth uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		rp := randomBounds(rng)
+		for rp.freeN > 10 {
+			rp = randomBounds(rng)
+		}
+		checkCircuit(t, rp, randomFormula(rng, rp, nil, int(depth%4)))
+	})
 }
 
 func TestSubstituteSemantics(t *testing.T) {

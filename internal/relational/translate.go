@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,42 +15,71 @@ import (
 // thousands of bindings, and the original string-keyed maps built a fresh
 // key (and often a fresh tuple) per touch. The translator therefore
 // interns tuples once into a flat table — a tuple becomes an int32 id —
-// and keys every matrix, cache and index by those ids; quantifier
-// environments are a dense binding array indexed by variable id with
-// interned byte-string keys for the memo tables. Grounding allocates only
-// when it encounters a genuinely new tuple, environment or subterm.
+// and keys every cache and index by those ids; quantifier environments
+// are a dense binding array indexed by variable id with interned
+// byte-string keys for the memo tables. A matrix is a slice of cells
+// sorted by tuple content, as Kodkod keeps its cells in tuple-index
+// order: it is sorted once when built and never modified, so every read
+// of a cached matrix walks it in order without sorting it again. Grounding
+// allocates only when it encounters a genuinely new tuple, environment or
+// subterm.
 
 // matrix is the boolean-matrix denotation of an expression during
-// translation: each possibly-present tuple (by interned id) maps to a
-// circuit edge. Tuples that are definitely absent are simply missing.
-type matrix struct {
-	arity int
-	cells map[int32]boolcirc.Ref
-}
+// translation: one cell per possibly-present tuple, pairing its interned
+// id with the circuit edge that decides it. Tuples that are definitely
+// absent have no cell, so no cell holds False.
+//
+// Invariant: the cells are strictly increasing by tuple content. A matrix
+// is built once and never modified afterwards (the expression cache and
+// the relation table share it), and get and run binary-search it.
+type matrix []cell
 
-func newMatrix(arity int) *matrix {
-	return &matrix{arity: arity, cells: make(map[int32]boolcirc.Ref)}
-}
-
-func (m *matrix) set(id int32, r boolcirc.Ref) {
-	if r == boolcirc.False {
-		return
-	}
-	m.cells[id] = r
-}
-
-func (m *matrix) get(id int32) boolcirc.Ref {
-	if r, ok := m.cells[id]; ok {
-		return r
-	}
-	return boolcirc.False
-}
-
-// cellRef pairs an interned tuple id with its circuit edge for ordered
-// iteration.
-type cellRef struct {
+type cell struct {
 	id int32
 	r  boolcirc.Ref
+}
+
+// add appends the cell (id, r) unless r is False.
+func (m matrix) add(id int32, r boolcirc.Ref) matrix {
+	if r == boolcirc.False {
+		return m
+	}
+	return append(m, cell{id: id, r: r})
+}
+
+// compare orders two interned tuples of one arity by content.
+func (tr *Translator) compare(a, b int32) int {
+	if a == b {
+		return 0
+	}
+	return slices.Compare(tr.tuples[a], tr.tuples[b])
+}
+
+// sort establishes the matrix invariant on cells built out of order.
+func (tr *Translator) sort(m matrix) {
+	slices.SortFunc(m, func(a, b cell) int { return tr.compare(a.id, b.id) })
+}
+
+// get returns the edge of tuple id in m, or False when m has no cell for it.
+func (tr *Translator) get(m matrix, id int32) boolcirc.Ref {
+	i, found := slices.BinarySearchFunc(m, tr.tuples[id], func(c cell, t Tuple) int {
+		return slices.Compare(tr.tuples[c.id], t)
+	})
+	if !found {
+		return boolcirc.False
+	}
+	return m[i].r
+}
+
+// run returns the cells of m whose tuples start with atom, which the
+// content order keeps contiguous.
+func (tr *Translator) run(m matrix, atom int) matrix {
+	lo := sort.Search(len(m), func(i int) bool { return tr.tuples[m[i].id][0] >= atom })
+	hi := lo
+	for hi < len(m) && tr.tuples[m[hi].id][0] == atom {
+		hi++
+	}
+	return m[lo:hi]
 }
 
 // RelVar associates a free tuple of a relation (in its upper but not lower
@@ -67,7 +97,7 @@ type Translator struct {
 	factory *boolcirc.Factory
 	bounds  *Bounds
 	relVars map[*Relation][]RelVar
-	relMats map[*Relation]*matrix
+	relMats map[*Relation]matrix
 	relIdx  map[*Relation]map[int32]boolcirc.Ref // tuple id → free-tuple variable
 
 	// Tuple interner: tuples[id] is the content of interned tuple id;
@@ -92,7 +122,7 @@ type Translator struct {
 	// turns the naive exponential re-translation into Kodkod-style sharing.
 	freeE     map[Expr][]int32    // sorted free-variable ids
 	freeF     map[Formula][]int32 // sorted free-variable ids
-	exprCache map[exprKey]*matrix
+	exprCache map[exprKey]matrix
 	formCache map[formKey]boolcirc.Ref
 
 	// Structural cache: top-level formulas that are rebuilt each round
@@ -144,7 +174,7 @@ func NewTranslator(b *Bounds, f *boolcirc.Factory) *Translator {
 		factory: f,
 		bounds:  b,
 		relVars: make(map[*Relation][]RelVar),
-		relMats: make(map[*Relation]*matrix),
+		relMats: make(map[*Relation]matrix),
 		relIdx:  make(map[*Relation]map[int32]boolcirc.Ref),
 
 		tupTab: make([]int32, 256),
@@ -154,28 +184,32 @@ func NewTranslator(b *Bounds, f *boolcirc.Factory) *Translator {
 
 		freeE:     make(map[Expr][]int32),
 		freeF:     make(map[Formula][]int32),
-		exprCache: make(map[exprKey]*matrix),
+		exprCache: make(map[exprKey]matrix),
 		formCache: make(map[formKey]boolcirc.Ref),
 
 		relIDs:      make(map[*Relation]int),
 		structCache: make(map[string]boolcirc.Ref),
 	}
 	for _, r := range b.Relations() {
-		m := newMatrix(r.arity)
 		lower := b.Lower(r)
+		upper := b.Upper(r).Tuples()
+		m := make(matrix, 0, len(upper))
 		var vars []RelVar
 		idx := make(map[int32]boolcirc.Ref)
-		for _, t := range b.Upper(r).Tuples() {
+		for _, t := range upper {
 			id := tr.intern(t, nil)
 			if lower.Contains(t) {
-				m.set(id, boolcirc.True)
+				m = append(m, cell{id: id, r: boolcirc.True})
 				continue
 			}
 			v := f.Var()
-			m.set(id, v)
+			m = append(m, cell{id: id, r: v})
 			vars = append(vars, RelVar{Tuple: tr.tuples[id], Ref: v})
 			idx[id] = v
 		}
+		// The variables follow Upper's order, so RelationVars and the
+		// variable numbering do not depend on the matrix order.
+		tr.sort(m)
 		tr.relVars[r] = vars
 		tr.relMats[r] = m
 		tr.relIdx[r] = idx
@@ -293,19 +327,6 @@ func (tr *Translator) lookup(t Tuple) (int32, bool) {
 		}
 		i = (i + 1) & mask
 	}
-}
-
-// ordered returns a matrix's cells sorted by tuple content, so circuit
-// construction order (and therefore emitted CNF) is reproducible.
-func (tr *Translator) ordered(m *matrix) []cellRef {
-	out := make([]cellRef, 0, len(m.cells))
-	for id, r := range m.cells {
-		out = append(out, cellRef{id: id, r: r})
-	}
-	slices.SortFunc(out, func(a, b cellRef) int {
-		return slices.Compare(tr.tuples[a.id], tr.tuples[b.id])
-	})
-	return out
 }
 
 // Formula grounds f into a circuit edge that is true exactly in the models
@@ -595,11 +616,10 @@ func (tr *Translator) formulaUncached(f Formula) boolcirc.Ref {
 	case *CompFormula:
 		lm := tr.expr(g.l)
 		rm := tr.expr(g.r)
-		sub := func(a, b *matrix) boolcirc.Ref {
-			cells := tr.ordered(a)
-			conj := make([]boolcirc.Ref, 0, len(cells))
-			for _, c := range cells {
-				conj = append(conj, tr.factory.Implies(c.r, b.get(c.id)))
+		sub := func(a, b matrix) boolcirc.Ref {
+			conj := make([]boolcirc.Ref, 0, len(a))
+			for _, c := range a {
+				conj = append(conj, tr.factory.Implies(c.r, tr.get(b, c.id)))
 			}
 			return tr.factory.And(conj...)
 		}
@@ -610,10 +630,9 @@ func (tr *Translator) formulaUncached(f Formula) boolcirc.Ref {
 
 	case *MultFormula:
 		m := tr.expr(g.e)
-		cells := tr.ordered(m)
-		refs := make([]boolcirc.Ref, 0, len(cells))
-		for _, c := range cells {
-			refs = append(refs, c.r)
+		refs := make([]boolcirc.Ref, len(m))
+		for i, c := range m {
+			refs[i] = c.r
 		}
 		some := tr.factory.Or(refs...)
 		switch g.mult {
@@ -670,11 +689,10 @@ func (tr *Translator) quant(q *QuantFormula, decls []Decl) boolcirc.Ref {
 	}
 	d := decls[0]
 	dom := tr.expr(d.domain)
-	cells := tr.ordered(dom)
 	vid := tr.varID(d.v)
 	saved := tr.bind[vid]
-	parts := make([]boolcirc.Ref, 0, len(cells))
-	for _, c := range cells {
+	parts := make([]boolcirc.Ref, 0, len(dom))
+	for _, c := range dom {
 		tr.bind[vid] = int32(tr.tuples[c.id][0]) + 1
 		inner := tr.quant(q, decls[1:])
 		if q.forall {
@@ -701,7 +719,7 @@ func (tr *Translator) atMostOne(refs []boolcirc.Ref) boolcirc.Ref {
 	return tr.factory.And(conj...)
 }
 
-func (tr *Translator) expr(ex Expr) *matrix {
+func (tr *Translator) expr(ex Expr) matrix {
 	ek, ok := tr.envKey(tr.freeIDsE(ex))
 	if !ok {
 		return tr.exprUncached(ex)
@@ -715,7 +733,7 @@ func (tr *Translator) expr(ex Expr) *matrix {
 	return m
 }
 
-func (tr *Translator) exprUncached(ex Expr) *matrix {
+func (tr *Translator) exprUncached(ex Expr) matrix {
 	switch g := ex.(type) {
 	case *Relation:
 		m, ok := tr.relMats[g]
@@ -729,16 +747,15 @@ func (tr *Translator) exprUncached(ex Expr) *matrix {
 		if a == 0 {
 			panic(fmt.Sprintf("relational: unbound variable %s", g.name))
 		}
-		m := newMatrix(1)
 		atom := [1]int{int(a - 1)}
-		m.set(tr.intern(atom[:], nil), boolcirc.True)
-		return m
+		return matrix{{id: tr.intern(atom[:], nil), r: boolcirc.True}}
 
 	case *ConstExpr:
-		m := newMatrix(g.ts.arity)
+		m := make(matrix, 0, g.ts.Len())
 		for _, t := range g.ts.Tuples() {
-			m.set(tr.intern(t, nil), boolcirc.True)
+			m = append(m, cell{id: tr.intern(t, nil), r: boolcirc.True})
 		}
+		tr.sort(m)
 		return m
 
 	case *BinExpr:
@@ -746,84 +763,126 @@ func (tr *Translator) exprUncached(ex Expr) *matrix {
 		rm := tr.expr(g.r)
 		switch g.op {
 		case opUnion:
-			m := newMatrix(lm.arity)
-			for id, r := range lm.cells {
-				m.set(id, r)
+			// Merge the operands. Each cell of rm costs one Or, in rm's
+			// order; cells only in lm are copied.
+			m := make(matrix, 0, len(lm)+len(rm))
+			i := 0
+			for _, c := range rm {
+				for i < len(lm) && tr.compare(lm[i].id, c.id) < 0 {
+					m = append(m, lm[i])
+					i++
+				}
+				l := boolcirc.False
+				if i < len(lm) && lm[i].id == c.id {
+					l = lm[i].r
+					i++
+				}
+				m = m.add(c.id, tr.factory.Or(l, c.r))
 			}
-			for _, c := range tr.ordered(rm) {
-				m.set(c.id, tr.factory.Or(m.get(c.id), c.r))
-			}
-			return m
+			return append(m, lm[i:]...)
 		case opIntersect:
-			m := newMatrix(lm.arity)
-			for _, c := range tr.ordered(lm) {
-				m.set(c.id, tr.factory.And(c.r, rm.get(c.id)))
+			m := make(matrix, 0, len(lm))
+			for _, c := range lm {
+				m = m.add(c.id, tr.factory.And(c.r, tr.get(rm, c.id)))
 			}
 			return m
 		case opDiff:
-			m := newMatrix(lm.arity)
-			for _, c := range tr.ordered(lm) {
-				m.set(c.id, tr.factory.And(c.r, rm.get(c.id).Not()))
+			m := make(matrix, 0, len(lm))
+			for _, c := range lm {
+				m = m.add(c.id, tr.factory.And(c.r, tr.get(rm, c.id).Not()))
 			}
 			return m
 		case opProduct:
-			m := newMatrix(lm.arity + rm.arity)
-			rcells := tr.ordered(rm)
-			for _, a := range tr.ordered(lm) {
+			// Concatenating sorted left and right tuples, left-major,
+			// yields content order.
+			m := make(matrix, 0, len(lm)*len(rm))
+			for _, a := range lm {
 				at := tr.tuples[a.id]
-				for _, b := range rcells {
-					m.set(tr.intern(at, tr.tuples[b.id]), tr.factory.And(a.r, b.r))
+				for _, b := range rm {
+					m = m.add(tr.intern(at, tr.tuples[b.id]), tr.factory.And(a.r, b.r))
 				}
 			}
 			return m
 		case opJoin:
-			m := newMatrix(lm.arity + rm.arity - 2)
-			// Group right cells by leading atom for the middle sum.
-			byHead := make(map[int][]cellRef)
-			for _, b := range tr.ordered(rm) {
-				head := tr.tuples[b.id][0]
-				byHead[head] = append(byHead[head], b)
-			}
-			acc := make(map[int32][]boolcirc.Ref)
-			order := make([]int32, 0, len(lm.cells))
-			for _, a := range tr.ordered(lm) {
-				at := tr.tuples[a.id]
-				mid := at[len(at)-1]
-				for _, b := range byHead[mid] {
-					bt := tr.tuples[b.id]
-					id := tr.intern(at[:len(at)-1], bt[1:])
-					if _, seen := acc[id]; !seen {
-						order = append(order, id)
-					}
-					acc[id] = append(acc[id], tr.factory.And(a.r, b.r))
-				}
-			}
-			for _, id := range order {
-				m.set(id, tr.factory.Or(acc[id]...))
-			}
-			return m
+			return tr.join(lm, rm)
 		}
 		panic("relational: unknown binary expression")
 
 	case *TransposeExpr:
 		im := tr.expr(g.e)
-		m := newMatrix(2)
-		for id, r := range im.cells {
-			t := tr.tuples[id]
+		m := make(matrix, 0, len(im))
+		for _, c := range im {
+			t := tr.tuples[c.id]
 			flipped := [2]int{t[1], t[0]}
-			m.set(tr.intern(flipped[:], nil), r)
+			m = append(m, cell{id: tr.intern(flipped[:], nil), r: c.r})
 		}
+		tr.sort(m)
 		return m
 
 	case *ComprehensionExpr:
-		m := newMatrix(len(g.decls))
+		var m matrix
 		var prefix [8]int
-		tr.comprehension(g, g.decls, prefix[:0], boolcirc.True, m)
+		tr.comprehension(g, g.decls, prefix[:0], boolcirc.True, &m)
 		return m
 
 	default:
 		panic(fmt.Sprintf("relational: unknown expression %T", ex))
 	}
+}
+
+// joinTerm is one conjunct of a join output: the And of a left and a
+// right cell that meet on the middle atom, numbered by build order.
+type joinTerm struct {
+	id  int32 // output tuple
+	seq int32
+	r   boolcirc.Ref
+}
+
+// join grounds lm.rm. Each left cell meets the run of right cells that
+// starts with its last atom; an output tuple is the Or of its meetings.
+// The factory sees one And per meeting, in lm's order and then the run's,
+// and then one Or per output over its Ands in build order, the outputs
+// taken in the order they were first met.
+func (tr *Translator) join(lm, rm matrix) matrix {
+	var terms []joinTerm
+	for _, a := range lm {
+		at := tr.tuples[a.id]
+		for _, b := range tr.run(rm, at[len(at)-1]) {
+			id := tr.intern(at[:len(at)-1], tr.tuples[b.id][1:])
+			terms = append(terms, joinTerm{id: id, seq: int32(len(terms)), r: tr.factory.And(a.r, b.r)})
+		}
+	}
+	// Sorted by output content and then build order, each output's terms
+	// form one group that starts with its first meeting.
+	slices.SortFunc(terms, func(x, y joinTerm) int {
+		if c := tr.compare(x.id, y.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.seq, y.seq)
+	})
+	var starts []int
+	for i := range terms {
+		if i == 0 || terms[i].id != terms[i-1].id {
+			starts = append(starts, i)
+		}
+	}
+	// Or each group in first-met order, leaving the result in its first
+	// term.
+	met := slices.Clone(starts)
+	slices.SortFunc(met, func(i, j int) int { return cmp.Compare(terms[i].seq, terms[j].seq) })
+	var refs []boolcirc.Ref
+	for _, lo := range met {
+		refs = refs[:0]
+		for i := lo; i < len(terms) && terms[i].id == terms[lo].id; i++ {
+			refs = append(refs, terms[i].r)
+		}
+		terms[lo].r = tr.factory.Or(refs...)
+	}
+	m := make(matrix, 0, len(starts))
+	for _, lo := range starts {
+		m = m.add(terms[lo].id, terms[lo].r)
+	}
+	return m
 }
 
 // comprehension enumerates candidate bindings for the declarations,
@@ -832,21 +891,22 @@ func (tr *Translator) exprUncached(ex Expr) *matrix {
 // interning) at full bindings.
 func (tr *Translator) comprehension(c *ComprehensionExpr, decls []Decl, prefix []int, guard boolcirc.Ref, out *matrix) {
 	if len(decls) == 0 {
+		// Domains are unary, so full bindings arrive distinct and in
+		// content order: each is a new cell appended in place.
 		id := tr.intern(prefix, nil)
-		out.set(id, tr.factory.Or(out.get(id), tr.factory.And(guard, tr.formula(c.body))))
+		*out = out.add(id, tr.factory.And(guard, tr.formula(c.body)))
 		return
 	}
 	d := decls[0]
 	dom := tr.expr(d.domain)
-	cells := tr.ordered(dom)
 	vid := tr.varID(d.v)
 	saved := tr.bind[vid]
-	for _, cell := range cells {
-		t := tr.tuples[cell.id]
+	for _, x := range dom {
+		t := tr.tuples[x.id]
 		tr.bind[vid] = int32(t[0]) + 1
 		tr.comprehension(c, decls[1:],
 			append(prefix, t...),
-			tr.factory.And(guard, cell.r),
+			tr.factory.And(guard, x.r),
 			out)
 	}
 	tr.bind[vid] = saved
