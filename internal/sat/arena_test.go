@@ -86,28 +86,48 @@ func decodeCNF(data []byte) (int, [][]Lit) {
 // FuzzDifferentialCDCL cross-checks the full arena CDCL core — learning,
 // chronological backtracking, restarts, reduceDB with arena GC,
 // preprocessing — against the chronological-backtracking DPLL reference
-// (DisableLearning), which shares only the propagation engine. Verdicts
-// must agree, and every SAT model must actually satisfy the input.
+// (DisableLearning), which shares only the propagation engine. The
+// session is incremental: both solvers solve the clauses before split,
+// freeze the variables set in the freeze mask (which restores any that
+// preprocessing eliminated), take the remaining clauses (which restores
+// any eliminated variable they name) and solve again. Both verdicts must
+// agree, and every SAT model must satisfy the clauses added so far.
 func FuzzDifferentialCDCL(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0, 3, 4, 0})
-	f.Add([]byte{5, 1, 0, 9, 0, 1, 9, 0, 2, 10, 0, 2, 0})
-	f.Add([]byte{7, 1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 0, 10, 11, 12, 0})
-	f.Add([]byte{3, 1, 0, 4, 0, 2, 0, 5, 0, 3, 0, 6, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 0}, uint8(1), uint16(0))
+	f.Add([]byte{5, 1, 0, 9, 0, 1, 9, 0, 2, 10, 0, 2, 0}, uint8(2), uint16(0x3))
+	f.Add([]byte{7, 1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 0, 10, 11, 12, 0}, uint8(3), uint16(0x2a))
+	f.Add([]byte{3, 1, 0, 4, 0, 2, 0, 5, 0, 3, 0, 6, 0}, uint8(0), uint16(0x3ff))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8, freeze uint16) {
 		nVars, clauses := decodeCNF(data)
 		if nVars == 0 {
 			return
 		}
-		full := newSolverWith(nVars, clauses, aggressiveOpts())
-		ref := newSolverWith(nVars, clauses, Options{DisableLearning: true})
-		got, want := full.Solve(), ref.Solve()
-		if got != want {
-			t.Fatalf("verdict mismatch: arena CDCL %v, DPLL reference %v (nVars=%d clauses=%v)",
-				got, want, nVars, clauses)
+		first := clauses[:int(split)%(len(clauses)+1)]
+		full := newSolverWith(nVars, first, aggressiveOpts())
+		ref := newSolverWith(nVars, first, Options{DisableLearning: true})
+		check := func(phase string, added [][]Lit) {
+			got, want := full.Solve(), ref.Solve()
+			if got != want {
+				t.Fatalf("%s: verdict mismatch: arena CDCL %v, DPLL reference %v (nVars=%d clauses=%v)",
+					phase, got, want, nVars, added)
+			}
+			if got == Sat && !modelSatisfies(full.Model(), added) {
+				t.Fatalf("%s: arena CDCL model does not satisfy the input (nVars=%d clauses=%v)",
+					phase, nVars, added)
+			}
 		}
-		if got == Sat && !modelSatisfies(full.Model(), clauses) {
-			t.Fatalf("arena CDCL model does not satisfy the input (nVars=%d clauses=%v)", nVars, clauses)
+		check("first batch", first)
+		for v := 0; v < nVars; v++ {
+			if freeze>>v&1 == 1 {
+				full.Freeze(Var(v))
+				ref.Freeze(Var(v))
+			}
 		}
+		for _, c := range clauses[len(first):] {
+			full.AddClause(c...)
+			ref.AddClause(c...)
+		}
+		check("second batch", clauses)
 	})
 }
 

@@ -141,4 +141,69 @@ func TestSimpStatsReported(t *testing.T) {
 	if s.Stats.SimpVarsEliminated == 0 {
 		t.Fatal("expected eliminated variables")
 	}
+	// Freezing an eliminated variable restores it, and with it whatever
+	// its recorded clauses name; the counter must follow the restores.
+	for _, v := range vs {
+		if s.Eliminated(v) {
+			s.Freeze(v)
+			break
+		}
+	}
+	live := 0
+	for _, v := range vs {
+		if s.Eliminated(v) {
+			live++
+		}
+	}
+	if s.Stats.SimpRestored == 0 || s.Stats.SimpVarsEliminated != int64(live) {
+		t.Fatalf("after a restore: SimpVarsEliminated = %d, SimpRestored = %d; %d variables are eliminated",
+			s.Stats.SimpVarsEliminated, s.Stats.SimpRestored, live)
+	}
+}
+
+// TestSimpRerunNeedsUnfrozenGrowth pins the re-run trigger: after the
+// first pass, only clauses that name an unfrozen variable count toward
+// the growth that runs preprocessing again. Clauses over frozen variables
+// alone, like a distance counter's, are in no elimination candidate's
+// occurrence lists, so however many arrive they trigger nothing.
+func TestSimpRerunNeedsUnfrozenGrowth(t *testing.T) {
+	s := NewWithOptions(Options{SimpMinClauses: -1})
+	const nFrozen = 40
+	fr := make([]Var, nFrozen)
+	for i := range fr {
+		fr[i] = s.NewVar()
+		s.Freeze(fr[i])
+	}
+	// A first batch with something to eliminate: one unfrozen definition
+	// variable between each pair of neighbouring frozen variables.
+	for i := 0; i+1 < nFrozen; i++ {
+		y := s.NewVar()
+		s.AddClause(NegLit(fr[i]), PosLit(y))
+		s.AddClause(NegLit(y), PosLit(fr[i+1]))
+	}
+	if st := s.Solve(); st != Sat || s.Stats.SimpRuns != 1 {
+		t.Fatalf("first solve: %v after %d preprocessing runs, want SAT after 1", st, s.Stats.SimpRuns)
+	}
+	const batch = 300 // above simpMinGrowth's floor of 256
+	if batch < simpMinGrowth(s.simpWatermark) {
+		t.Fatalf("a batch of %d does not reach the growth threshold %d", batch, simpMinGrowth(s.simpWatermark))
+	}
+	// Each clause is implied by the chain, so none forces a level-0 fact
+	// that would satisfy the next batch's clauses before they are stored.
+	for i := 0; i < batch; i++ {
+		a, b := i%nFrozen, (i%nFrozen+1+i/nFrozen)%nFrozen
+		s.AddClause(NegLit(fr[min(a, b)]), PosLit(fr[max(a, b)]))
+	}
+	if st := s.Solve(); st != Sat || s.Stats.SimpRuns != 1 {
+		t.Fatalf("after %d frozen-only clauses: %v after %d preprocessing runs, want SAT after 1",
+			batch, st, s.Stats.SimpRuns)
+	}
+	for i := 0; i < batch; i++ {
+		x := s.NewVar()
+		s.AddClause(NegLit(x), PosLit(fr[i%nFrozen]))
+	}
+	if st := s.Solve(); st != Sat || s.Stats.SimpRuns != 2 {
+		t.Fatalf("after %d clauses naming fresh variables: %v after %d preprocessing runs, want SAT after 2",
+			batch, st, s.Stats.SimpRuns)
+	}
 }

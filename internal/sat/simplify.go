@@ -56,6 +56,7 @@ func (s *Solver) restoreVar(v Var) {
 		return
 	}
 	s.Stats.SimpRestored++
+	s.Stats.SimpVarsEliminated = s.elim.Stats.VarsEliminated
 	s.order.push(v)
 	buf := make([]Lit, 0, 8)
 	for _, c := range cls {
@@ -67,8 +68,9 @@ func (s *Solver) restoreVar(v Var) {
 	}
 }
 
-// simpMinGrowth is how many new problem clauses must accumulate before
-// preprocessing runs again on an already-simplified database.
+// simpMinGrowth is how many new problem clauses naming an unfrozen
+// variable must accumulate before preprocessing runs again on an
+// already-simplified database of base clauses.
 func simpMinGrowth(base int) int {
 	g := base / 4
 	if g < 256 {
@@ -94,11 +96,29 @@ func (s *Solver) simpMinClauses() int {
 	return simpDefaultMinClauses
 }
 
+// namesUnfrozen reports whether some literal's variable is not frozen.
+// With no preprocessor yet, nothing is frozen.
+func (s *Solver) namesUnfrozen(lits []Lit) bool {
+	if s.elim == nil {
+		return true
+	}
+	for _, l := range lits {
+		if !s.elim.Frozen(int32(l.Var())) {
+			return true
+		}
+	}
+	return false
+}
+
 // maybeSimplify runs preprocessing when the database is big enough to be
 // worth it and is fresh or has grown enough since the last run. Called
 // from Solve at level 0, after propagation and assumption restoration.
 // Below the floor nothing is marked done, so a growing incremental
-// session gets its first pass as soon as it crosses the floor.
+// session gets its first pass as soon as it crosses the floor. Growth
+// counts only clauses that name an unfrozen variable: a clause over
+// frozen variables alone (a distance counter's, say) is in no
+// elimination candidate's occurrence list, so it cannot change what BVE
+// does.
 func (s *Solver) maybeSimplify() {
 	if s.opts.DisableSimp || s.unsatLevel0 {
 		return
@@ -106,7 +126,7 @@ func (s *Solver) maybeSimplify() {
 	if !s.simpRan && len(s.clauses) < s.simpMinClauses() {
 		return
 	}
-	if s.simpRan && len(s.clauses) < s.simpWatermark+simpMinGrowth(s.simpWatermark) {
+	if s.simpRan && s.simpGrowth < simpMinGrowth(s.simpWatermark) {
 		return
 	}
 	s.runSimplify()
@@ -263,6 +283,7 @@ func (s *Solver) runSimplify() {
 	}
 	s.simpRan = true
 	s.simpWatermark = len(s.clauses)
+	s.simpGrowth = 0
 }
 
 // extendModel gives eliminated variables model values consistent with

@@ -144,7 +144,8 @@ type Solver struct {
 	// frozen/eliminated marks and the model-reconstruction stack.
 	elim          *simp.Preprocessor
 	simpRan       bool
-	simpWatermark int // problem clause count right after the last run
+	simpWatermark int // problem clause count right after the last run; sizes the re-run threshold
+	simpGrowth    int // clauses stored since the last run that name an unfrozen variable
 
 	// Stats accumulates counters across Solve calls.
 	Stats Stats
@@ -342,6 +343,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		// keeps the bulk clause load free of per-unit watch flushes.
 		s.uncheckedEnqueue(out[0], crefUndef)
 		return true
+	}
+	if s.namesUnfrozen(out) {
+		s.simpGrowth++
 	}
 	c := s.ca.alloc(out, false)
 	s.clauses = append(s.clauses, c)

@@ -408,17 +408,19 @@ func (rs *runState) enqueueUnit(l Lit) {
 }
 
 // propagateUnits applies pending unit facts to the clause database:
-// satisfied clauses are removed, falsified literals are stripped.
+// satisfied clauses are removed, falsified literals are stripped. Only
+// live occurrences count: a clause strengthened past l keeps a stale
+// entry in l's list, and l becoming true does not satisfy it.
 func (rs *runState) propagateUnits() {
 	for len(rs.pending) > 0 && !rs.unsat {
 		l := rs.pending[0]
 		rs.pending = rs.pending[1:]
-		for _, ci := range rs.occ[l] {
+		for _, ci := range rs.liveOcc(l) {
 			rs.cls[ci].deleted = true
 		}
 		rs.occ[l] = nil
 		neg := l.Not()
-		for _, ci := range rs.occ[neg] {
+		for _, ci := range rs.liveOcc(neg) {
 			if rs.cls[ci].deleted {
 				continue
 			}

@@ -100,6 +100,45 @@ func TestSelfSubsumingResolutionStrengthens(t *testing.T) {
 	}
 }
 
+// TestUnitSparesClauseStrengthenedPastIt pins unit propagation against
+// stale occurrence entries. (x1 ∨ ¬x5) strengthens (x0 ∨ x1 ∨ ¬x5) to
+// (x0 ∨ x1), which keeps an entry in ¬x5's list; (¬x0 ∨ ¬x5) then turns
+// (x0 ∨ ¬x5) into the unit ¬x5. That unit satisfies the clauses that
+// still contain ¬x5, not (x0 ∨ x1). With every variable frozen the result
+// must be equivalent to the input on every assignment.
+func TestUnitSparesClauseStrengthenedPastIt(t *testing.T) {
+	in := [][]Lit{
+		{lit(0, false), lit(1, false), lit(5, false)},
+		{lit(5, true), lit(1, false)},
+		{lit(5, true), lit(0, false), lit(1, false)},
+		{lit(0, true), lit(5, true)},
+		{lit(5, true), lit(0, false)},
+	}
+	const nVars = 6
+	p := New()
+	for v := int32(0); v < nVars; v++ {
+		p.Freeze(v)
+	}
+	res := p.Run(in, nil)
+	if res.Unsat {
+		t.Fatal("unexpected unsat")
+	}
+	out := append([][]Lit{}, res.Clauses...)
+	for _, u := range res.Units {
+		out = append(out, []Lit{u})
+	}
+	assign := make([]bool, nVars)
+	for m := 0; m < 1<<nVars; m++ {
+		for v := range assign {
+			assign[v] = m&(1<<v) != 0
+		}
+		if evalClauses(in, assign) != evalClauses(out, assign) {
+			t.Fatalf("assignment %v: input %v, simplified %v (clauses %v, units %v)",
+				assign, evalClauses(in, assign), evalClauses(out, assign), res.Clauses, res.Units)
+		}
+	}
+}
+
 func TestFrozenVariablesSurvive(t *testing.T) {
 	p := New()
 	p.Freeze(0)
