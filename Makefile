@@ -1,9 +1,9 @@
 # Tier-1 verification in one command: `make check`.
 GO ?= go
 
-.PHONY: check build vet test race fmt bench-module bench bench-smoke smoke
+.PHONY: check build vet test race fmt bench-module examples bench bench-smoke smoke
 
-check: fmt build vet test race bench-module
+check: fmt build vet test race bench-module examples
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,16 @@ fmt:
 # removing an API the benchmark imports would pass `make check`.
 bench-module:
 	cd muppetbench && $(GO) vet ./... && $(GO) test ./...
+
+# examples runs each example from the repo root and diffs its stdout
+# against testdata/examples/<name>.out, so a change to an example or to
+# the API it drives cannot alter what it prints unnoticed.
+examples:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for e in conformance multiparty negotiation quickstart; do \
+		$(GO) run ./examples/$$e > "$$tmp/$$e.out" || exit 1; \
+		diff -u testdata/examples/$$e.out "$$tmp/$$e.out" || exit 1; \
+	done
 
 # bench runs every `go test -bench` reproduction (paper figures, the
 # Sec. 5 scaling sweep, ablations, delta) and prints the text report.

@@ -78,8 +78,8 @@ func BenchmarkFig5Envelope(b *testing.B) {
 	k8sParty, istioParty := w.parties(b, nil, muppet.Offer{}, muppet.AllSoft())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env := muppet.ComputeEnvelope(w.sys, istioParty, []*muppet.Party{k8sParty})
-		if env.Trivial() {
+		env, err := muppet.ComputeEnvelopeCtx(context.Background(), w.sys, istioParty, []*muppet.Party{k8sParty})
+		if err != nil || env.Trivial() {
 			b.Fatal("Fig. 5 envelope must be non-trivial")
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkFig6Monolithic(b *testing.B) {
 	k8sParty, istioParty := w.parties(b, w.strict, muppet.AllHoles(), muppet.AllHoles())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := muppet.SynthesizeMonolithic(w.sys, []*muppet.Party{k8sParty, istioParty})
+		res := muppet.SynthesizeMonolithicCtx(context.Background(), w.sys, []*muppet.Party{k8sParty, istioParty}, muppet.Budget{})
 		if res.OK {
 			b.Fatal("monolithic baseline must fail on the conflict")
 		}
@@ -106,7 +106,7 @@ func BenchmarkAlg1LocalConsistency(b *testing.B) {
 	k8sParty, istioParty := w.parties(b, nil, muppet.Offer{}, muppet.AllHoles())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := muppet.LocalConsistency(w.sys, k8sParty, []*muppet.Party{istioParty})
+		res := muppet.LocalConsistencyCtx(context.Background(), w.sys, k8sParty, []*muppet.Party{istioParty}, muppet.Budget{})
 		if !res.OK {
 			b.Fatal("provider must be consistent")
 		}
@@ -120,7 +120,7 @@ func BenchmarkAlg2Reconcile(b *testing.B) {
 	k8sParty, istioParty := w.parties(b, w.relaxed, muppet.AllSoft(), muppet.AllSoft())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := muppet.Reconcile(w.sys, []*muppet.Party{k8sParty, istioParty})
+		res := muppet.ReconcileCtx(context.Background(), w.sys, []*muppet.Party{k8sParty, istioParty}, muppet.Budget{})
 		if !res.OK {
 			b.Fatal("Fig. 4 goals must reconcile")
 		}
@@ -138,7 +138,7 @@ func BenchmarkFig7Conformance(b *testing.B) {
 		b.StopTimer()
 		provider, tenant := w.parties(b, w.relaxed, muppet.Offer{}, muppet.AllSoft())
 		b.StartTimer()
-		out := muppet.RunConformance(w.sys, provider, tenant)
+		out := muppet.RunConformanceCtx(context.Background(), w.sys, provider, tenant, muppet.Budget{})
 		if !out.Reconciled {
 			b.Fatal("conformance must succeed")
 		}
@@ -150,11 +150,11 @@ func BenchmarkFig7Conformance(b *testing.B) {
 func BenchmarkFig8MinimalEdit(b *testing.B) {
 	w := loadWalkthrough(b)
 	k8sParty, istioParty := w.parties(b, w.relaxed, muppet.Offer{}, muppet.AllSoft())
-	env := muppet.ComputeEnvelope(w.sys, istioParty, []*muppet.Party{k8sParty})
+	env := mustEnvelope(b, w.sys, istioParty, k8sParty)
 	constraints := append([]relational.Formula{env.Formula()}, istioParty.GoalFormulas()...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := muppet.MinimalEdit(w.sys, istioParty, constraints, k8sParty)
+		res := muppet.MinimalEditCtx(context.Background(), w.sys, istioParty, constraints, muppet.Budget{}, k8sParty)
 		if !res.OK {
 			b.Fatal("minimal edit must exist")
 		}
@@ -195,7 +195,7 @@ func BenchmarkFig9Negotiation(b *testing.B) {
 		b.StopTimer()
 		k8sParty, istioParty := fig9Parties(b, w)
 		b.StartTimer()
-		out := muppet.NewNegotiation(w.sys, k8sParty, istioParty).UseCache(cache).Run()
+		out := muppet.NewNegotiation(w.sys, k8sParty, istioParty).UseCache(cache).RunCtx(context.Background(), muppet.Budget{})
 		if !out.Reconciled {
 			b.Fatal("negotiation must succeed")
 		}
@@ -213,7 +213,7 @@ func BenchmarkFig9NegotiationCold(b *testing.B) {
 		b.StopTimer()
 		k8sParty, istioParty := fig9Parties(b, w)
 		b.StartTimer()
-		out := muppet.NewNegotiation(w.sys, k8sParty, istioParty).Run()
+		out := muppet.NewNegotiation(w.sys, k8sParty, istioParty).RunCtx(context.Background(), muppet.Budget{})
 		if !out.Reconciled {
 			b.Fatal("negotiation must succeed")
 		}
@@ -270,21 +270,21 @@ func BenchmarkScalingSweep(b *testing.B) {
 		k8sParty, istioParty := mk(b)
 		b.Run(prefix+"/consistency", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if res := muppet.LocalConsistency(sys, k8sParty, []*muppet.Party{istioParty}); !res.OK {
+				if res := muppet.LocalConsistencyCtx(context.Background(), sys, k8sParty, []*muppet.Party{istioParty}, muppet.Budget{}); !res.OK {
 					b.Fatal("must be consistent")
 				}
 			}
 		})
 		b.Run(prefix+"/envelope", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if env := muppet.ComputeEnvelope(sys, istioParty, []*muppet.Party{k8sParty}); env.Trivial() {
+				if env, err := muppet.ComputeEnvelopeCtx(context.Background(), sys, istioParty, []*muppet.Party{k8sParty}); err != nil || env.Trivial() {
 					b.Fatal("envelope must be non-trivial")
 				}
 			}
 		})
 		b.Run(prefix+"/reconcile", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if res := muppet.Reconcile(sys, []*muppet.Party{k8sParty, istioParty}); !res.OK {
+				if res := muppet.ReconcileCtx(context.Background(), sys, []*muppet.Party{k8sParty, istioParty}, muppet.Budget{}); !res.OK {
 					b.Fatal("must reconcile")
 				}
 			}
@@ -516,7 +516,7 @@ func BenchmarkDeltaReconcile(b *testing.B) {
 			if i%2 == 1 {
 				ps = partiesB
 			}
-			if res := muppet.Reconcile(sys, ps); !res.OK {
+			if res := muppet.ReconcileCtx(context.Background(), sys, ps, muppet.Budget{}); !res.OK {
 				b.Fatal("scenario must reconcile")
 			}
 		}

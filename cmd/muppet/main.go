@@ -375,8 +375,8 @@ func execute(ctx context.Context, in *inputs, lim *limits, strategy string, d *d
 // avoided and how large the encoding it built is.
 func printReuse(st muppet.ReuseStats) {
 	t := st.Translation
-	fmt.Printf("// sessions: %d built, %d reused; translation cache: %d pointer hits, %d structural hits, %d misses\n",
-		st.Sessions, st.Reuses, t.PointerHits, t.StructHits, t.Misses)
+	fmt.Printf("// sessions: %d built, %d reused; translation cache: %d structural hits, %d misses\n",
+		st.Sessions, st.Reuses, t.StructHits, t.Misses)
 	e := st.Encoding
 	fmt.Printf("// encoding: %d circuit nodes, %d vars, %d clauses; preprocessing eliminated %d vars, removed %d clauses\n",
 		e.CircuitNodes, e.SolverVars, e.SolverClauses, e.VarsEliminated, e.ClausesRemoved)

@@ -163,9 +163,9 @@ func TestEncodingCrossCheckScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 			var b strings.Builder
-			lc := muppet.LocalConsistency(sys, k8sParty, []*muppet.Party{istioParty})
+			lc := muppet.LocalConsistencyCtx(context.Background(), sys, k8sParty, []*muppet.Party{istioParty}, muppet.Budget{})
 			fmt.Fprintf(&b, "consistency:\n%s", renderResult(lc))
-			rec := muppet.Reconcile(sys, []*muppet.Party{k8sParty, istioParty})
+			rec := muppet.ReconcileCtx(context.Background(), sys, []*muppet.Party{k8sParty, istioParty}, muppet.Budget{})
 			fmt.Fprintf(&b, "reconcile:\n%s", renderResult(rec))
 			if rec.OK {
 				k8sParty.Adopt(rec.Instance)
@@ -173,7 +173,7 @@ func TestEncodingCrossCheckScenarios(t *testing.T) {
 				b.WriteString(k8sParty.Describe())
 				b.WriteString(istioParty.Describe())
 			}
-			out := muppet.NewNegotiation(sys, k8sParty, istioParty).Run()
+			out := muppet.NewNegotiation(sys, k8sParty, istioParty).RunCtx(context.Background(), muppet.Budget{})
 			fmt.Fprintf(&b, "negotiation: reconciled=%v reason=%v rounds=%d\n",
 				out.Reconciled, out.Reason, len(out.Rounds))
 			return b.String()
@@ -565,7 +565,7 @@ func TestThreePartyFederatedMatchesSingleProcess(t *testing.T) {
 	}
 
 	baseParties := parties()
-	base := muppet.NewNegotiation(sys, baseParties[0].P, baseParties[1].P, baseParties[2].P).Run()
+	base := muppet.NewNegotiation(sys, baseParties[0].P, baseParties[1].P, baseParties[2].P).RunCtx(context.Background(), muppet.Budget{})
 
 	var peerRefs []feder.PeerRef
 	for i, lp := range parties() {

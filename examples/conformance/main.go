@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out := muppet.RunConformance(sys, provider, tenant)
+	ctx := context.Background()
+	out := muppet.RunConformanceCtx(ctx, sys, provider, tenant, muppet.Budget{})
 	fmt.Println("=== Attempt 1: strict Fig. 3 goals ===")
 	fmt.Printf("provider locally consistent: %v\n", out.ProviderConsistent)
 	fmt.Println("envelope E_{K8s→Istio}:")
@@ -75,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out = muppet.RunConformance(sys, provider2, tenant2)
+	out = muppet.RunConformanceCtx(ctx, sys, provider2, tenant2, muppet.Budget{})
 	fmt.Println("=== Attempt 2: relaxed Fig. 4 goals ===")
 	if !out.Reconciled {
 		log.Fatalf("conformance failed at %s: %v", out.FailedStep, out.Feedback)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -69,13 +70,17 @@ func main() {
 
 	// The joint envelope to the Istio administrator (Sec. 7:
 	// E_{A,B→C} via merged substitution).
-	env := muppet.ComputeEnvelope(sys, istio, []*muppet.Party{platform, secops})
+	ctx := context.Background()
+	env, err := muppet.ComputeEnvelopeCtx(ctx, sys, istio, []*muppet.Party{platform, secops})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("joint envelope", env.Name(), "—", len(env.Clauses), "clauses:")
 	fmt.Print(env)
 	fmt.Println()
 
 	// Three-seat negotiation.
-	out := muppet.NewNegotiation(sys, platform, secops, istio).Run()
+	out := muppet.NewNegotiation(sys, platform, secops, istio).RunCtx(ctx, muppet.Budget{})
 	if !out.Reconciled {
 		log.Fatalf("three-party negotiation failed: %v", out.Feedback)
 	}
@@ -90,11 +95,13 @@ func main() {
 	m2 := sys.MeshWith(istioState.Exposure)
 	// Adopt decodes every K8s shell into each K8s-side party's state, so
 	// the platform state's configuration carries both policies.
-	k8sFinal := platformState.Config
+	reach := muppet.ReachabilityMatrix(m2, platformState.Config, istioState.Config)
 	fmt.Println("\nfinal reachability matrix:")
-	for pair, ports := range muppet.ReachabilityMatrix(m2, k8sFinal, istioState.Config) {
-		if len(ports) > 0 {
-			fmt.Printf("  %s: %v\n", pair, ports)
+	for _, src := range m2.ServiceNames() {
+		for _, dst := range m2.ServiceNames() {
+			if ports := reach[src+"->"+dst]; len(ports) > 0 {
+				fmt.Printf("  %s->%s: %v\n", src, dst, ports)
+			}
 		}
 	}
 }

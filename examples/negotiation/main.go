@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("=== negotiation with strict goals and fixed offers ===")
-	out := muppet.NewNegotiation(sys, k8sParty, istioParty).Run()
+	ctx := context.Background()
+	out := muppet.NewNegotiation(sys, k8sParty, istioParty).RunCtx(ctx, muppet.Budget{})
 	for _, r := range out.Rounds {
 		status := "revised"
 		if r.Stuck {
@@ -87,7 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("=== negotiation after the Fig. 4 relaxation ===")
-	out = muppet.NewNegotiation(sys, k8sParty, istioParty2).Run()
+	out = muppet.NewNegotiation(sys, k8sParty, istioParty2).RunCtx(ctx, muppet.Budget{})
 	if !out.Reconciled {
 		log.Fatalf("negotiation should now succeed: %v", out.Feedback)
 	}
@@ -101,10 +103,13 @@ func main() {
 	fmt.Print(istioParty2.Describe())
 
 	m2 := sys.MeshWith(istioState.Exposure)
+	reach := muppet.ReachabilityMatrix(m2, banned, istioState.Config)
 	fmt.Println("\nmesh health after negotiation:")
-	for pair, ports := range muppet.ReachabilityMatrix(m2, banned, istioState.Config) {
-		if len(ports) > 0 {
-			fmt.Printf("  %s: %v\n", pair, ports)
+	for _, src := range m2.ServiceNames() {
+		for _, dst := range m2.ServiceNames() {
+			if ports := reach[src+"->"+dst]; len(ports) > 0 {
+				fmt.Printf("  %s->%s: %v\n", src, dst, ports)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,8 @@ func main() {
 
 	// The conflict (Sec. 2): the union of the two goal sets is
 	// unsatisfiable — no pair of configurations can meet both.
-	res := muppet.Reconcile(sys, []*muppet.Party{k8sParty, istioParty})
+	ctx := context.Background()
+	res := muppet.ReconcileCtx(ctx, sys, []*muppet.Party{k8sParty, istioParty}, muppet.Budget{})
 	if res.OK {
 		log.Fatal("unexpected: the paper's conflict should be unsatisfiable")
 	}
@@ -70,7 +72,10 @@ func main() {
 
 	// The envelope E_{K8s→Istio} (Fig. 5): what the Istio administrator
 	// must satisfy for the K8s goals to hold, in the Istio vocabulary.
-	env := muppet.ComputeEnvelope(sys, istioParty, []*muppet.Party{k8sParty})
+	env, err := muppet.ComputeEnvelopeCtx(ctx, sys, istioParty, []*muppet.Party{k8sParty})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("Envelope from K8s to Istio (Fig. 5):")
 	fmt.Print(env)
 	fmt.Println()

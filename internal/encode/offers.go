@@ -52,15 +52,6 @@ func (f Field) String() string {
 	return "unknown-field"
 }
 
-// IsK8s reports whether the field belongs to the K8s domain.
-func (f Field) IsK8s() bool { return f <= FieldKEgressAllow }
-
-// K8sFields and IstioFields enumerate each party's configurable tables.
-var (
-	K8sFields   = []Field{FieldKIngressDeny, FieldKIngressAllow, FieldKEgressDeny, FieldKEgressAllow}
-	IstioFields = []Field{FieldIDenyTo, FieldIAllowTo, FieldIDenyFrom, FieldIAllowFrom, FieldExposure}
-)
-
 // Knob addresses one boolean configuration decision: whether Key (a port in
 // decimal, or a service name) appears in Field of the named policy. The
 // wildcard "*" Key addresses every key of the field.

@@ -158,9 +158,6 @@ func NewSystem(m *mesh.Mesh, k8sShells []*mesh.NetworkPolicy, istioShells []*mes
 
 func portAtom(p int) string { return "port:" + strconv.Itoa(p) }
 
-// PortAtomName returns the universe atom name for a port.
-func (sys *System) PortAtomName(p int) string { return portAtom(p) }
-
 // HasPort reports whether the port is in the system's bounded inventory.
 func (sys *System) HasPort(p int) bool {
 	return sys.Universe.Index(portAtom(p)) >= 0

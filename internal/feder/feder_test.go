@@ -117,7 +117,7 @@ func singleProcess(t *testing.T, strict bool) (*muppet.NegotiationOutcome, strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := muppet.NewNegotiation(st.Sys, k8s, istio).Run()
+	out := muppet.NewNegotiation(st.Sys, k8s, istio).RunCtx(context.Background(), muppet.Budget{})
 	return out, k8s.Describe(), istio.Describe()
 }
 
@@ -241,7 +241,7 @@ func TestFederatedRevisionsMatchSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := muppet.NewNegotiation(st.Sys, k8s, istio).Run()
+	base := muppet.NewNegotiation(st.Sys, k8s, istio).RunCtx(context.Background(), muppet.Budget{})
 	edits := 0
 	for _, r := range base.Rounds {
 		edits += len(r.Edits)

@@ -108,7 +108,6 @@ type PeerClient struct {
 	rng   *rand.Rand
 
 	retried atomic.Int64
-	calls   atomic.Int64
 }
 
 // NewPeerClient builds a client with the given robustness parameters.
@@ -129,9 +128,6 @@ func NewPeerClient(name, baseURL string, retries int, breaker *Breaker, seed int
 // Retried reports how many retry attempts this client has made.
 func (c *PeerClient) Retried() int64 { return c.retried.Load() }
 
-// Calls reports how many logical calls (not attempts) were made.
-func (c *PeerClient) Calls() int64 { return c.calls.Load() }
-
 func (c *PeerClient) jitter() float64 {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
@@ -151,7 +147,6 @@ func retryable(status int) bool {
 // attempts (at least the peer's Retry-After, when given), all capped by
 // ctx's deadline. The circuit breaker is consulted once per attempt.
 func (c *PeerClient) Call(ctx context.Context, op string, in, out any) error {
-	c.calls.Add(1)
 	body, err := json.Marshal(in)
 	if err != nil {
 		return &PeerError{Peer: c.Name, Op: op, Err: err}

@@ -208,7 +208,10 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	k8s, istio := fig1Parties(f, sys, bundle)
 	v := NewVocab(sys)
 	for _, pair := range [][2]*muppet.Party{{istio, k8s}, {k8s, istio}} {
-		env := muppet.ComputeEnvelope(sys, pair[0], []*muppet.Party{pair[1]})
+		env, err := muppet.ComputeEnvelopeCtx(context.Background(), sys, pair[0], []*muppet.Party{pair[1]})
+		if err != nil {
+			f.Fatal(err)
+		}
 		w, err := v.EncodeEnvelope(env)
 		if err != nil {
 			f.Fatal(err)

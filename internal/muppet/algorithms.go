@@ -93,55 +93,15 @@ func (ws *workspace) run(ctx context.Context, b sat.Budget) *Result {
 	}
 }
 
-// LocalConsistency implements Alg. 1: can the subject's partial offer be
-// completed — with every other party fully free — so that the subject's
-// own goals hold? On success the returned instance is one such completion,
-// chosen to deviate minimally from the subject's soft preferences. On
-// failure the feedback core blames goal rows and fixed configuration
-// groups.
-func LocalConsistency(sys *encode.System, subject *Party, others []*Party) *Result {
-	return LocalConsistencyCtx(context.Background(), sys, subject, others, sat.Budget{})
-}
-
-// LocalConsistencyCtx is LocalConsistency under a cancellation context and
-// a solver work budget; on exhaustion the result is Indeterminate.
-func LocalConsistencyCtx(ctx context.Context, sys *encode.System, subject *Party, others []*Party, b sat.Budget) *Result {
-	return (*SolveCache)(nil).LocalConsistencyCtx(ctx, sys, subject, others, b)
-}
-
-// Reconcile implements Alg. 2: complete every party's partial offer so
-// that the union of configurations satisfies the union of goals. On
-// success the instance assigns every party's relations, deviating
-// minimally from all soft preferences; the per-party configurations are
-// recovered with the parties' adopt/decode helpers. On failure the
-// feedback core names the conflicting goals and configuration groups of
-// all parties — the cross-party blame that distinguishes multi-party
-// reconciliation from single-party synthesis (Fig. 6).
-func Reconcile(sys *encode.System, parties []*Party) *Result {
-	return ReconcileCtx(context.Background(), sys, parties, sat.Budget{})
-}
-
-// ReconcileCtx is Reconcile under a cancellation context and a solver work
-// budget; on exhaustion the result is Indeterminate (never a bogus core).
-func ReconcileCtx(ctx context.Context, sys *encode.System, parties []*Party, b sat.Budget) *Result {
-	return (*SolveCache)(nil).ReconcileCtx(ctx, sys, parties, b)
-}
-
-// ComputeEnvelope implements Alg. 3 for one recipient: the conjunction of
-// every other party's goals, modulo those parties' concrete settings,
+// ComputeEnvelopeCtx implements Alg. 3 for one recipient: the conjunction
+// of every other party's goals, modulo those parties' concrete settings,
 // expressed over the recipient's domain. With one sender this is the
 // paper's E_{A→B}; with several it is the Sec. 7 joint envelope
 // E_{A,B,…→C}, obtained by multiple passes of substitution (here: one
-// substitution under the merged senders' settings).
-func ComputeEnvelope(sys *encode.System, recipient *Party, senders []*Party) *envelope.Envelope {
-	env, _ := ComputeEnvelopeCtx(context.Background(), sys, recipient, senders)
-	return env
-}
-
-// ComputeEnvelopeCtx is ComputeEnvelope under a cancellation context.
-// Envelope computation is pure rewriting — no solver calls, no budget to
-// exhaust — so the context gates entry: an already-cancelled context
-// returns its error and a nil envelope instead of starting the rewrite.
+// substitution under the merged senders' settings). The computation is
+// pure rewriting, with no solver calls and no budget to exhaust, so the
+// context gates entry only: a done context returns its error (see
+// target.FromContext) and a nil envelope.
 func ComputeEnvelopeCtx(ctx context.Context, sys *encode.System, recipient *Party, senders []*Party) (*envelope.Envelope, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -202,38 +162,15 @@ func instanceFor(sys *encode.System, parties ...*Party) *relational.Instance {
 	return inst
 }
 
-// MinimalEdit implements the second half of Fig. 8: complete the party's
-// offer to satisfy the given constraints (typically a received envelope
-// plus the party's own goals), minimising deviation from the party's soft
-// preferences. The party's fixed settings are enforced, as are the other
-// parties' standing offers (their fixed knobs; their soft knobs and holes
-// stay open); on failure the core blames the conflicting fragments.
-func MinimalEdit(sys *encode.System, p *Party, constraints []relational.Formula, others ...*Party) *Result {
-	return MinimalEditCtx(context.Background(), sys, p, constraints, sat.Budget{}, others...)
-}
-
-// MinimalEditCtx is MinimalEdit under a cancellation context and a solver
-// work budget. An interrupted minimisation degrades to the best valid
-// completion found (OK with Stop recorded); exhaustion before any model
-// yields an Indeterminate result.
-func MinimalEditCtx(ctx context.Context, sys *encode.System, p *Party, constraints []relational.Formula, b sat.Budget, others ...*Party) *Result {
-	return (*SolveCache)(nil).MinimalEditCtx(ctx, sys, p, constraints, b, others...)
-}
-
-// GoalsCompatible implements the second envelope use of Sec. 3: comparing
-// a received envelope with the recipient's goals (rather than its
-// configuration). It asks whether ANY configuration of the recipient's
+// GoalsCompatibleCtx implements the second envelope use of Sec. 3:
+// comparing a received envelope with the recipient's goals (rather than
+// its configuration). It asks whether ANY configuration of the recipient's
 // domain satisfies both the envelope and the recipient's goals, given the
 // senders' current settings (which are substituted into the recipient's
 // goals, mirroring Alg. 3). If not, the recipient's goals themselves must
 // change — the situation that forces the Fig. 4 revision — and the core
-// blames the irreconcilable parts.
-func GoalsCompatible(sys *encode.System, recipient *Party, env *envelope.Envelope, senders ...*Party) *Result {
-	return GoalsCompatibleCtx(context.Background(), sys, recipient, env, sat.Budget{}, senders...)
-}
-
-// GoalsCompatibleCtx is GoalsCompatible under a cancellation context and a
-// solver work budget; on exhaustion the result is Indeterminate.
+// blames the irreconcilable parts. On budget exhaustion or cancellation
+// the result is Indeterminate.
 func GoalsCompatibleCtx(ctx context.Context, sys *encode.System, recipient *Party, env *envelope.Envelope, b sat.Budget, senders ...*Party) *Result {
 	merged := make(map[*relational.Relation]*relational.TupleSet)
 	for _, s := range senders {
@@ -260,18 +197,13 @@ func GoalsCompatibleCtx(ctx context.Context, sys *encode.System, recipient *Part
 	}
 }
 
-// SynthesizeMonolithic is the Fig. 6 baseline: traditional single-step
+// SynthesizeMonolithicCtx is the Fig. 6 baseline: traditional single-step
 // synthesis over the union of all parties' goals, with every setting a
 // hole and no notion of offers, softness, envelopes or negotiation. On the
 // paper's running conflict it simply fails (the union of the property sets
 // is unsatisfiable, Sec. 2) — the behaviour the multi-party workflows are
-// designed to improve on.
-func SynthesizeMonolithic(sys *encode.System, parties []*Party) *Result {
-	return SynthesizeMonolithicCtx(context.Background(), sys, parties, sat.Budget{})
-}
-
-// SynthesizeMonolithicCtx is SynthesizeMonolithic under a cancellation
-// context and a solver work budget.
+// designed to improve on. On budget exhaustion or cancellation the result
+// is Indeterminate.
 func SynthesizeMonolithicCtx(ctx context.Context, sys *encode.System, parties []*Party, b sat.Budget) *Result {
 	specs := make([]partySpec, len(parties))
 	for i, p := range parties {

@@ -22,9 +22,10 @@ import (
 //
 // A SolveCache is single-goroutine, like the sessions it owns: concurrent
 // query serving uses one cache per worker over a shared encode.System.
-// The nil *SolveCache is valid and means "no reuse": every call builds a
-// one-shot workspace, which is the behaviour of the package-level
-// workflow functions.
+// Its methods are the only entry points of the workflows it serves. The
+// nil *SolveCache is valid and means "no reuse": every call builds a
+// one-shot workspace, which hardens its assumptions and is discarded
+// after the call.
 type SolveCache struct {
 	entries  map[string]*workspace
 	sessions int64
@@ -160,7 +161,6 @@ func (s *ReuseStats) Add(t ReuseStats) {
 	s.Sessions += t.Sessions
 	s.Reuses += t.Reuses
 	s.Evictions += t.Evictions
-	s.Translation.PointerHits += t.Translation.PointerHits
 	s.Translation.StructHits += t.Translation.StructHits
 	s.Translation.Misses += t.Translation.Misses
 	s.Encoding.add(t.Encoding)
@@ -175,7 +175,6 @@ func (c *SolveCache) Stats() ReuseStats {
 	st.Add(c.dropped)
 	for _, ws := range c.entries {
 		t := ws.ss.CacheStats()
-		st.Translation.PointerHits += t.PointerHits
 		st.Translation.StructHits += t.StructHits
 		st.Translation.Misses += t.Misses
 		st.Encoding.add(sessionEncodingStats(ws.ss))
@@ -282,8 +281,13 @@ func (c *SolveCache) Evict(n int) int {
 	return evicted
 }
 
-// LocalConsistencyCtx is the Alg. 1 check on a cached session; see the
-// package-level LocalConsistencyCtx for semantics.
+// LocalConsistencyCtx implements Alg. 1: can the subject's partial offer
+// be completed — with every other party fully free — so that the
+// subject's own goals hold? On success the returned instance is one such
+// completion, chosen to deviate minimally from the subject's soft
+// preferences. On failure the feedback core blames goal rows and fixed
+// configuration groups. On budget exhaustion or cancellation the result
+// is Indeterminate.
 func (c *SolveCache) LocalConsistencyCtx(ctx context.Context, sys *encode.System, subject *Party, others []*Party, b sat.Budget) *Result {
 	specs := []partySpec{{party: subject, enforceFixed: true, includeGoals: true}}
 	for _, o := range others {
@@ -292,8 +296,14 @@ func (c *SolveCache) LocalConsistencyCtx(ctx context.Context, sys *encode.System
 	return c.workspaceFor(sys, specs).run(ctx, b)
 }
 
-// ReconcileCtx is the Alg. 2 reconciliation on a cached session; see the
-// package-level ReconcileCtx for semantics.
+// ReconcileCtx implements Alg. 2: complete every party's partial offer so
+// that the union of configurations satisfies the union of goals, deviating
+// minimally from all soft preferences (the parties' adopt/decode helpers
+// recover each configuration from the instance). On failure the core
+// names the conflicting goals and configuration groups of all parties —
+// the cross-party blame that distinguishes multi-party reconciliation
+// from single-party synthesis (Fig. 6). An exhausted budget or a
+// cancellation yields Indeterminate, never a bogus core.
 func (c *SolveCache) ReconcileCtx(ctx context.Context, sys *encode.System, parties []*Party, b sat.Budget) *Result {
 	specs := make([]partySpec, len(parties))
 	for i, p := range parties {
@@ -302,10 +312,15 @@ func (c *SolveCache) ReconcileCtx(ctx context.Context, sys *encode.System, parti
 	return c.workspaceFor(sys, specs).run(ctx, b)
 }
 
-// MinimalEditCtx is the Fig. 8 revision on a cached session; see the
-// package-level MinimalEditCtx for semantics. Constraints recur across
-// rounds (re-computed envelopes, the party's goals); structurally
-// unchanged ones reuse their previously grounded circuit.
+// MinimalEditCtx implements the second half of Fig. 8: complete the
+// party's offer to satisfy the constraints (typically a received envelope
+// plus the party's own goals) with minimal deviation from its soft
+// preferences. The party's fixed settings are enforced, as are the other
+// parties' fixed knobs; on failure the core blames the conflicting
+// fragments. An interrupted minimisation degrades to the best valid
+// completion found (OK with Stop recorded); exhaustion before any model
+// yields Indeterminate. On a warm session, constraints unchanged since an
+// earlier round reuse their grounded circuit.
 func (c *SolveCache) MinimalEditCtx(ctx context.Context, sys *encode.System, p *Party, constraints []relational.Formula, b sat.Budget, others ...*Party) *Result {
 	specs := []partySpec{{party: p, enforceFixed: true, includeGoals: false}}
 	for _, o := range others {
@@ -334,12 +349,4 @@ func (c *SolveCache) Revise(ctx context.Context, sys *encode.System, p *Party, e
 		p.adopt(res.Instance)
 	}
 	return res
-}
-
-// RunConformanceCtx is the Fig. 7 workflow with every solving step served
-// from this cache, so conformance retries against evolving offers reuse
-// the live sessions; see the package-level RunConformanceCtx for
-// semantics.
-func (c *SolveCache) RunConformanceCtx(ctx context.Context, sys *encode.System, provider, tenant *Party, b sat.Budget) *ConformanceOutcome {
-	return runConformanceCtx(ctx, c, sys, provider, tenant, b)
 }

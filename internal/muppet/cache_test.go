@@ -62,7 +62,7 @@ func TestSolveCacheMatchesFresh(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		// Reconcilable pair.
 		k8sParty, istioParty := mkPartyPair(t, f, false)
-		fresh := Reconcile(f.sys, []*Party{k8sParty, istioParty})
+		fresh := oneShot.ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
 		k8sParty2, istioParty2 := mkPartyPair(t, f, false)
 		warm := cache.ReconcileCtx(ctx, f.sys, []*Party{k8sParty2, istioParty2}, sat.Budget{})
 		if warm.OK != fresh.OK || !warm.OK {
@@ -74,7 +74,7 @@ func TestSolveCacheMatchesFresh(t *testing.T) {
 
 		// Irreconcilable pair: blame must agree.
 		k8sParty, istioParty = mkPartyPair(t, f, true)
-		fresh = Reconcile(f.sys, []*Party{k8sParty, istioParty})
+		fresh = oneShot.ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
 		k8sParty2, istioParty2 = mkPartyPair(t, f, true)
 		warm = cache.ReconcileCtx(ctx, f.sys, []*Party{k8sParty2, istioParty2}, sat.Budget{})
 		if warm.OK || fresh.OK {
@@ -86,7 +86,7 @@ func TestSolveCacheMatchesFresh(t *testing.T) {
 
 		// Local consistency.
 		k8sParty, istioParty = mkPartyPair(t, f, false)
-		fresh = LocalConsistency(f.sys, k8sParty, []*Party{istioParty})
+		fresh = oneShot.LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty}, sat.Budget{})
 		warm = cache.LocalConsistencyCtx(ctx, f.sys, k8sParty, []*Party{istioParty}, sat.Budget{})
 		if warm.OK != fresh.OK || !warm.OK {
 			t.Fatalf("round %d: consistency cached %v, fresh %v", round, warm.OK, fresh.OK)
@@ -97,7 +97,7 @@ func TestSolveCacheMatchesFresh(t *testing.T) {
 	if st.Sessions == 0 || st.Reuses == 0 {
 		t.Fatalf("expected both builds and reuses, got %+v", st)
 	}
-	if st.Translation.StructHits+st.Translation.PointerHits == 0 {
+	if st.Translation.StructHits == 0 {
 		t.Fatalf("expected translation-cache hits on reuse, got %+v", st)
 	}
 }
@@ -134,7 +134,7 @@ func TestSolveCacheConformanceAndNegotiation(t *testing.T) {
 	ctx := context.Background()
 
 	provider, tenant := mkPartyPair(t, f, false)
-	freshOut := RunConformance(f.sys, provider, tenant)
+	freshOut := oneShot.RunConformanceCtx(context.Background(), f.sys, provider, tenant, sat.Budget{})
 	cache := NewSolveCache()
 	provider2, tenant2 := mkPartyPair(t, f, false)
 	cachedOut := cache.RunConformanceCtx(ctx, f.sys, provider2, tenant2, sat.Budget{})
@@ -147,7 +147,7 @@ func TestSolveCacheConformanceAndNegotiation(t *testing.T) {
 	shared := NewSolveCache()
 	for i := 0; i < 2; i++ {
 		k8sParty, istioParty := mkPartyPair(t, f, false)
-		out := NewNegotiation(f.sys, k8sParty, istioParty).UseCache(shared).Run()
+		out := NewNegotiation(f.sys, k8sParty, istioParty).UseCache(shared).RunCtx(context.Background(), sat.Budget{})
 		if !out.Reconciled {
 			t.Fatalf("negotiation %d failed: %v", i, out.Feedback)
 		}
@@ -248,9 +248,9 @@ func TestSolveCacheStatsSurviveEviction(t *testing.T) {
 	if before.Translation.Misses == 0 || before.Translation.StructHits == 0 {
 		t.Fatalf("test setup: want misses and structural hits, got %+v", before.Translation)
 	}
-	counters := func(st ReuseStats) [7]int64 {
-		return [7]int64{
-			st.Translation.PointerHits, st.Translation.StructHits, st.Translation.Misses,
+	counters := func(st ReuseStats) [6]int64 {
+		return [6]int64{
+			st.Translation.StructHits, st.Translation.Misses,
 			st.Encoding.ClausesRemoved, st.Encoding.Restored,
 			st.Encoding.ChronoBacktracks, st.Encoding.OTFSubsumed,
 		}

@@ -27,7 +27,7 @@ type ConformanceOutcome struct {
 	// Feedback explains the failing step, if any.
 	Feedback *Feedback
 	// FailedStep names the step that failed ("local-consistency",
-	// "revision", "reconcile"), empty on success.
+	// "envelope", "revision", "reconcile"), empty on success.
 	FailedStep string
 	// Indeterminate is set when a solver budget or cancellation stopped
 	// the step named by FailedStep before it reached a verdict; Stop says
@@ -36,26 +36,15 @@ type ConformanceOutcome struct {
 	Stop          target.StopReason
 }
 
-// RunConformance drives the Fig. 7 workflow: check A's local consistency,
-// compute E_{A→B}, let B revise via the Fig. 8 aid (checking its candidate
-// and, if needed, computing a minimal edit satisfying the envelope and its
-// own goals), then reconcile the offers. On success both parties adopt the
-// delivered configurations.
-func RunConformance(sys *encode.System, provider, tenant *Party) *ConformanceOutcome {
-	return RunConformanceCtx(context.Background(), sys, provider, tenant, sat.Budget{})
-}
-
-// RunConformanceCtx is RunConformance under a cancellation context and a
-// solver work budget shared by every solve of the workflow. A budget that
-// expires mid-step marks the outcome Indeterminate with the failing step
-// named, instead of misreporting the step as a proven failure.
-func RunConformanceCtx(ctx context.Context, sys *encode.System, provider, tenant *Party, b sat.Budget) *ConformanceOutcome {
-	return runConformanceCtx(ctx, nil, sys, provider, tenant, b)
-}
-
-// runConformanceCtx runs the Fig. 7 workflow with every solving step
-// served through c (one-shot workspaces when c is nil).
-func runConformanceCtx(ctx context.Context, c *SolveCache, sys *encode.System, provider, tenant *Party, b sat.Budget) *ConformanceOutcome {
+// RunConformanceCtx drives the Fig. 7 workflow: check A's local
+// consistency, compute E_{A→B}, let B revise via the Fig. 8 aid (checking
+// its candidate and, if needed, computing a minimal edit satisfying the
+// envelope and its own goals), then reconcile the offers. On success both
+// parties adopt the delivered configurations. Each solving step runs on c
+// (one-shot workspaces when c is nil) within the shared budget b; a budget
+// that expires mid-step marks the outcome Indeterminate with the failing
+// step named, instead of misreporting the step as a proven failure.
+func (c *SolveCache) RunConformanceCtx(ctx context.Context, sys *encode.System, provider, tenant *Party, b sat.Budget) *ConformanceOutcome {
 	out := &ConformanceOutcome{}
 
 	indeterminate := func(step string, stop target.StopReason) *ConformanceOutcome {
@@ -78,7 +67,7 @@ func runConformanceCtx(ctx context.Context, c *SolveCache, sys *encode.System, p
 
 	env, err := ComputeEnvelopeCtx(ctx, sys, tenant, []*Party{provider})
 	if err != nil {
-		return indeterminate("envelope", target.StopCancelled)
+		return indeterminate("envelope", target.FromContext(err))
 	}
 	out.Envelope = env
 

@@ -45,7 +45,7 @@ func TestLocalConsistencyExpiredBudgetNoFabricatedBlame(t *testing.T) {
 	f := loadFixture(t)
 	k8sParty, istioParty := contradictoryParties(t, f)
 
-	res := LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty}, expired())
+	res := oneShot.LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty}, expired())
 	if !res.Indeterminate {
 		t.Fatalf("expired budget must be indeterminate: %+v", res)
 	}
@@ -64,7 +64,7 @@ func TestLocalConsistencyExpiredBudgetNoFabricatedBlame(t *testing.T) {
 
 	// The identical workspace without a budget still proves the real
 	// verdict, with blame.
-	full := LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty}, sat.Budget{})
+	full := oneShot.LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty}, sat.Budget{})
 	if full.Indeterminate || full.OK || full.Feedback == nil || len(full.Feedback.Core) != 2 {
 		t.Fatalf("unbudgeted solve must still prove inconsistency with blame: %+v", full)
 	}
@@ -76,7 +76,7 @@ func TestLocalConsistencyTinyConflictBudget(t *testing.T) {
 	f := loadFixture(t)
 	k8sParty, istioParty := contradictoryParties(t, f)
 
-	res := LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty},
+	res := oneShot.LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty},
 		sat.Budget{MaxConflicts: 1})
 	if res.Indeterminate {
 		// The cap struck before the proof finished: no blame may exist.
@@ -104,7 +104,7 @@ func TestReconcileCtxExpiredBudgetIndeterminate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, expired())
+	res := oneShot.ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, expired())
 	if !res.Indeterminate || res.OK || res.Feedback != nil {
 		t.Fatalf("expired reconcile must be indeterminate without blame: %+v", res)
 	}
@@ -113,7 +113,7 @@ func TestReconcileCtxExpiredBudgetIndeterminate(t *testing.T) {
 	}
 
 	// The same parties reconcile when given room to work.
-	full := ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
+	full := oneShot.ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
 	if full.Indeterminate || !full.OK {
 		t.Fatalf("unbudgeted reconcile must succeed: %+v", full)
 	}
@@ -131,7 +131,7 @@ func TestReconcileCtxCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := ReconcileCtx(ctx, f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
+	res := oneShot.ReconcileCtx(ctx, f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
 	if !res.Indeterminate || res.Feedback != nil {
 		t.Fatalf("cancelled reconcile must be indeterminate without blame: %+v", res)
 	}
@@ -180,7 +180,7 @@ func TestNegotiationTerminalReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := NewNegotiation(f.sys, k8sSoft, istioSoft).Run(); out.Reason != ReasonReconciled {
+	if out := NewNegotiation(f.sys, k8sSoft, istioSoft).RunCtx(context.Background(), sat.Budget{}); out.Reason != ReasonReconciled {
 		t.Fatalf("reason = %v (%s), want reconciled", out.Reason, out.Reason)
 	}
 
@@ -193,7 +193,7 @@ func TestNegotiationTerminalReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := NewNegotiation(f.sys, k8sFixed, istioFixed).Run()
+	out := NewNegotiation(f.sys, k8sFixed, istioFixed).RunCtx(context.Background(), sat.Budget{})
 	if out.Reconciled {
 		t.Fatal("fixed incompatible offers must not reconcile")
 	}
@@ -215,7 +215,7 @@ func TestConformanceCtxExpiredBudgetIndeterminate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RunConformanceCtx(context.Background(), f.sys, k8sParty, istioParty, expired())
+	out := oneShot.RunConformanceCtx(context.Background(), f.sys, k8sParty, istioParty, expired())
 	if !out.Indeterminate || out.Reconciled {
 		t.Fatalf("expired conformance must be indeterminate: %+v", out)
 	}
@@ -244,7 +244,7 @@ func TestMinimizeDegradesToBestModel(t *testing.T) {
 	// exhausted during the descent on at least some runs. Whether or not
 	// the cap strikes, the result must be coherent: either a usable
 	// instance or an honest indeterminate — never blame.
-	res := ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty},
+	res := oneShot.ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty},
 		sat.Budget{MaxConflicts: 50})
 	switch {
 	case res.OK:

@@ -52,6 +52,20 @@ func loadFixture(t testing.TB) *fixture {
 	return f
 }
 
+// oneShot is the nil cache: each workflow call on it solves on a fresh
+// one-shot workspace.
+var oneShot *SolveCache
+
+// mustEnvelope computes the envelope the senders send to recipient.
+func mustEnvelope(t testing.TB, sys *encode.System, recipient *Party, senders ...*Party) *envelope.Envelope {
+	t.Helper()
+	env, err := ComputeEnvelopeCtx(context.Background(), sys, recipient, senders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
 // verifyComposed checks the final configurations with the runtime
 // evaluator: the Fig. 2 ban holds and the revised reachability goals hold.
 func verifyComposed(t *testing.T, sys *encode.System, k8s *K8sPartyState, istio *IstioPartyState) {
@@ -94,7 +108,7 @@ func TestAlg1LocalConsistencyConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := LocalConsistency(f.sys, k8sParty, []*Party{istioParty})
+	res := oneShot.LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty}, sat.Budget{})
 	if !res.OK {
 		t.Fatalf("Fig. 2 goal must be locally consistent: %v", res.Feedback)
 	}
@@ -125,7 +139,7 @@ func TestAlg1LocalConsistencyInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := LocalConsistency(f.sys, k8sParty, []*Party{istioParty})
+	res := oneShot.LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty}, sat.Budget{})
 	if res.OK {
 		t.Fatal("contradictory goals must be locally inconsistent")
 	}
@@ -160,7 +174,7 @@ func TestAlg1FixedConfigBlame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := LocalConsistency(f.sys, k8sParty, []*Party{istioParty})
+	res := oneShot.LocalConsistencyCtx(context.Background(), f.sys, k8sParty, []*Party{istioParty}, sat.Budget{})
 	if res.OK {
 		t.Fatal("fixed deny vs ALLOW goal must be inconsistent")
 	}
@@ -189,7 +203,7 @@ func TestAlg2ReconcileConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Reconcile(f.sys, []*Party{k8sParty, istioParty})
+	res := oneShot.ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
 	if res.OK {
 		t.Fatal("Fig. 2 ∧ Fig. 3 must fail to reconcile")
 	}
@@ -218,7 +232,7 @@ func TestAlg2ReconcileRevisedGoals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Reconcile(f.sys, []*Party{k8sParty, istioParty})
+	res := oneShot.ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
 	if !res.OK {
 		t.Fatalf("Fig. 2 ∧ Fig. 4 must reconcile: %v", res.Feedback)
 	}
@@ -242,7 +256,7 @@ func TestFig7ConformanceWithRevisedGoals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RunConformance(f.sys, k8sParty, istioParty)
+	out := oneShot.RunConformanceCtx(context.Background(), f.sys, k8sParty, istioParty, sat.Budget{})
 	if !out.ProviderConsistent {
 		t.Fatalf("provider must be locally consistent: %v", out.Feedback)
 	}
@@ -273,7 +287,7 @@ func TestFig7ConformanceFailsWithStrictGoals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RunConformance(f.sys, k8sParty, istioParty)
+	out := oneShot.RunConformanceCtx(context.Background(), f.sys, k8sParty, istioParty, sat.Budget{})
 	if out.Reconciled {
 		t.Fatal("strict Fig. 3 goals must not conform to the port-23 envelope")
 	}
@@ -295,13 +309,13 @@ func TestFig8MinimalEditAgainstEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := ComputeEnvelope(f.sys, istioParty, []*Party{k8sParty})
+	env := mustEnvelope(t, f.sys, istioParty, k8sParty)
 	ok, failing := CheckCandidate(f.sys, istioParty, env, false, k8sParty)
 	if ok || len(failing) == 0 {
 		t.Fatal("current tenant config must fail the envelope with blame")
 	}
-	res := MinimalEdit(f.sys, istioParty,
-		append([]relational.Formula{env.Formula()}, istioParty.GoalFormulas()...), k8sParty)
+	res := oneShot.MinimalEditCtx(context.Background(), f.sys, istioParty,
+		append([]relational.Formula{env.Formula()}, istioParty.GoalFormulas()...), sat.Budget{}, k8sParty)
 	if !res.OK {
 		t.Fatalf("minimal edit must exist: %v", res.Feedback)
 	}
@@ -328,7 +342,7 @@ func TestFig9NegotiationImmediateReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := NewNegotiation(f.sys, k8sParty, istioParty)
-	out := n.Run()
+	out := n.RunCtx(context.Background(), sat.Budget{})
 	if !out.Reconciled || !out.InitialReconcile {
 		t.Fatalf("fully-soft compatible parties must reconcile immediately: %+v", out)
 	}
@@ -349,7 +363,7 @@ func TestFig9NegotiationRoundsAndHumanIntervention(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := NewNegotiation(f.sys, k8sParty, istioParty)
-	out := n.Run()
+	out := n.RunCtx(context.Background(), sat.Budget{})
 	if out.Reconciled {
 		t.Fatal("strict goals + fixed offers must not reconcile")
 	}
@@ -367,7 +381,7 @@ func TestFig9NegotiationRoundsAndHumanIntervention(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2 := NewNegotiation(f.sys, k8sParty, revisedParty)
-	out2 := n2.Run()
+	out2 := n2.RunCtx(context.Background(), sat.Budget{})
 	if !out2.Reconciled {
 		t.Fatalf("negotiation with relaxed goals must succeed: %v", out2.Feedback)
 	}
@@ -411,7 +425,7 @@ func TestNegotiationTurnAdoptsRevision(t *testing.T) {
 		}
 		return res, err
 	}
-	n.Run()
+	n.RunCtx(context.Background(), sat.Budget{})
 	if ownEdits == 0 {
 		t.Fatal("no turn edited the acting party's own knobs; the test exercised nothing")
 	}
@@ -427,7 +441,7 @@ func TestFig6MonolithicBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := SynthesizeMonolithic(f.sys, []*Party{k8sParty, istioParty})
+	res := SynthesizeMonolithicCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
 	if res.OK {
 		t.Fatal("monolithic synthesis must fail on the conflicted union (Sec. 2)")
 	}
@@ -437,7 +451,7 @@ func TestFig6MonolithicBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = SynthesizeMonolithic(f.sys, []*Party{k8sParty, istioRevised})
+	res = SynthesizeMonolithicCtx(context.Background(), f.sys, []*Party{k8sParty, istioRevised}, sat.Budget{})
 	if !res.OK {
 		t.Fatalf("monolithic synthesis of compatible goals should work: %v", res.Feedback)
 	}
@@ -501,7 +515,7 @@ func TestThreePartyEnvelopeAndNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	env := ComputeEnvelope(sys, istioParty, []*Party{k8sParty, secopsParty})
+	env := mustEnvelope(t, sys, istioParty, k8sParty, secopsParty)
 	if env.Trivial() {
 		t.Fatal("joint envelope must be non-trivial")
 	}
@@ -510,7 +524,7 @@ func TestThreePartyEnvelopeAndNegotiation(t *testing.T) {
 	}
 
 	n := NewNegotiation(sys, k8sParty, secopsParty, istioParty)
-	out := n.Run()
+	out := n.RunCtx(context.Background(), sat.Budget{})
 	if !out.Reconciled {
 		t.Fatalf("three-party negotiation must reconcile: %v", out.Feedback)
 	}
@@ -562,8 +576,8 @@ func TestGoalsCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := ComputeEnvelope(f.sys, strictParty, []*Party{k8sParty})
-	res := GoalsCompatible(f.sys, strictParty, env, k8sParty)
+	env := mustEnvelope(t, f.sys, strictParty, k8sParty)
+	res := GoalsCompatibleCtx(context.Background(), f.sys, strictParty, env, sat.Budget{}, k8sParty)
 	if res.OK {
 		t.Fatal("strict Fig. 3 goals must be incompatible with the envelope")
 	}
@@ -584,7 +598,7 @@ func TestGoalsCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = GoalsCompatible(f.sys, relaxedParty, env, k8sParty)
+	res = GoalsCompatibleCtx(context.Background(), f.sys, relaxedParty, env, sat.Budget{}, k8sParty)
 	if !res.OK {
 		t.Fatalf("Fig. 4 goals must be compatible: %v", res.Feedback)
 	}
@@ -642,7 +656,7 @@ func TestReconcileExtendsFixedOffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Reconcile(f.sys, []*Party{k8sParty, istioParty})
+	res := oneShot.ReconcileCtx(context.Background(), f.sys, []*Party{k8sParty, istioParty}, sat.Budget{})
 	if !res.OK {
 		t.Fatalf("must reconcile: %v", res.Feedback)
 	}
@@ -674,7 +688,7 @@ func TestNegotiationConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := NewNegotiation(sys, k8sParty, istioParty).Run()
+		out := NewNegotiation(sys, k8sParty, istioParty).RunCtx(context.Background(), sat.Budget{})
 		if !out.Reconciled {
 			t.Fatalf("seed %d: negotiation must converge: %v", seed, out.Feedback)
 		}

@@ -106,7 +106,7 @@ type RoundReport struct {
 	Reconciled bool
 }
 
-// NegotiationOutcome summarises a Run.
+// NegotiationOutcome summarises a RunCtx.
 type NegotiationOutcome struct {
 	Reconciled bool
 	// InitialReconcile is true when the registered offers reconciled
@@ -171,15 +171,10 @@ func (n *Negotiation) revise(ctx context.Context, _, i int, env *envelope.Envelo
 	return n.cache.Revise(ctx, n.sys, n.parties[i], env, b, n.others(i)...), nil
 }
 
-// Run executes the workflow until reconciliation succeeds, every party in
-// a full cycle is stuck, or MaxRounds turns elapse. Successful runs adopt
-// the reconciled configurations into every party.
-func (n *Negotiation) Run() *NegotiationOutcome {
-	return n.RunCtx(context.Background(), sat.Budget{})
-}
-
-// RunCtx is Run under a cancellation context and a solver work budget
-// shared by every solve of the workflow. A budget that expires mid-run
+// RunCtx executes the workflow until reconciliation succeeds, every party
+// in a full cycle is stuck, or MaxRounds turns elapse. Successful runs
+// adopt the reconciled configurations into every party. The budget is
+// shared by every solve of the workflow: one that expires mid-run
 // terminates the negotiation with ReasonIndeterminate — an interrupted
 // round is reported as such, never misreported as a stuck party or a
 // failed reconciliation.
@@ -223,7 +218,7 @@ func (n *Negotiation) RunCtx(ctx context.Context, b sat.Budget) *NegotiationOutc
 
 		env, err := ComputeEnvelopeCtx(ctx, n.sys, p, n.others(i))
 		if err != nil {
-			return indeterminate(rep, target.StopCancelled)
+			return indeterminate(rep, target.FromContext(err))
 		}
 		rep.Envelope = env
 

@@ -86,16 +86,6 @@ func (p *Party) GoalFormulas() []relational.Formula {
 	return out
 }
 
-// inDomain reports whether r belongs to the party's domain.
-func (p *Party) inDomain(r *relational.Relation) bool {
-	for _, d := range p.Domain {
-		if d == r {
-			return true
-		}
-	}
-	return false
-}
-
 // K8sPartyState is the mutable state behind a Kubernetes party.
 type K8sPartyState struct {
 	Sys    *encode.System

@@ -1,11 +1,8 @@
 package muppet
 
 import (
-	"context"
-
 	"muppet/internal/delta"
 	"muppet/internal/encode"
-	"muppet/internal/sat"
 )
 
 // This file is the solving side of delta re-reconciliation (package
@@ -123,28 +120,4 @@ func (c *SolveCache) Rebase(plan *delta.Plan, fn func()) DeltaStats {
 		ds.Reason = "no live session for this workspace shape"
 	}
 	return ds
-}
-
-// RebaseReconcileCtx is ReconcileCtx bracketed by Rebase instrumentation:
-// the Alg. 2 reconciliation of the (new-revision) parties served from
-// this cache's warm sessions, with stats on how incremental the step was.
-// The parties must be built over sys — for a warm rebase, the previous
-// revision's System, over which this cache's sessions were ground. The
-// result is byte-identical to a cold ReconcileCtx on the same parties.
-func (c *SolveCache) RebaseReconcileCtx(ctx context.Context, sys *encode.System, parties []*Party, plan *delta.Plan, b sat.Budget) (*Result, DeltaStats) {
-	var res *Result
-	ds := c.Rebase(plan, func() {
-		res = c.ReconcileCtx(ctx, sys, parties, b)
-	})
-	return res, ds
-}
-
-// RebaseCheckCtx is LocalConsistencyCtx bracketed by Rebase
-// instrumentation, for watch-mode serving of the Alg. 1 check.
-func (c *SolveCache) RebaseCheckCtx(ctx context.Context, sys *encode.System, subject *Party, others []*Party, plan *delta.Plan, b sat.Budget) (*Result, DeltaStats) {
-	var res *Result
-	ds := c.Rebase(plan, func() {
-		res = c.LocalConsistencyCtx(ctx, sys, subject, others, b)
-	})
-	return res, ds
 }

@@ -317,14 +317,6 @@ func (ws *workspace) harden() {
 	}
 }
 
-// assertHard grounds and permanently asserts extra formulas (e.g. a
-// received envelope).
-func (ws *workspace) assertHard(fs ...relational.Formula) {
-	for _, f := range fs {
-		ws.ss.Assert(f)
-	}
-}
-
 // minimize finds the model closest to the soft-knob preferences. On a
 // one-shot workspace, call after harden; on a reusable one the named
 // assumptions are threaded into every probe, so the session's clause set

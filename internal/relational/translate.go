@@ -138,8 +138,6 @@ type Translator struct {
 
 // CacheStats counts translation-cache outcomes for top-level Formula calls.
 type CacheStats struct {
-	// PointerHits: same formula node grounded before (identity cache).
-	PointerHits int64
 	// StructHits: structurally identical formula grounded before.
 	StructHits int64
 	// Misses: full translations performed.
@@ -147,7 +145,7 @@ type CacheStats struct {
 }
 
 // Hits returns the total number of cache hits.
-func (c CacheStats) Hits() int64 { return c.PointerHits + c.StructHits }
+func (c CacheStats) Hits() int64 { return c.StructHits }
 
 // Cache reports the translator's cache counters.
 func (tr *Translator) Cache() CacheStats { return tr.stats }
@@ -330,21 +328,14 @@ func (tr *Translator) lookup(t Tuple) (int32, bool) {
 }
 
 // Formula grounds f into a circuit edge that is true exactly in the models
-// of f within the translator's bounds. Repeated calls are cheap: a node
-// this translator grounded itself answers from the identity cache, and a
-// structurally identical formula built from fresh nodes reuses the prior
-// circuit edge (structural cache). A structural hit does not enter the
-// caller's pointer into the identity cache: a warm session sees fresh
-// goal and envelope nodes on every request, and keeping each one would
-// pin every request's formulas for the session's lifetime. The tables
-// grow with new formula shapes only.
+// of f within the translator's bounds. Repeated calls are cheap: a
+// formula structurally identical to one grounded before — the same node
+// again, or one rebuilt from fresh nodes — reuses the prior circuit edge
+// (structural cache). The cache keys on shape, never on the caller's
+// nodes: a warm session sees fresh goal and envelope nodes on every
+// request, and keeping each one would pin every request's formulas for
+// the session's lifetime. The tables grow with new formula shapes only.
 func (tr *Translator) Formula(f Formula) boolcirc.Ref {
-	// Successful top-level calls are closed formulas (an unbound variable
-	// panics during translation), so the empty env key identifies them.
-	if r, hit := tr.formCache[formKey{f: f, env: 0}]; hit {
-		tr.stats.PointerHits++
-		return r
-	}
 	key := tr.structKey(f)
 	if r, hit := tr.structCache[string(key)]; hit {
 		tr.stats.StructHits++

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -8,7 +9,12 @@ import (
 	"muppet/internal/goals"
 	"muppet/internal/mesh"
 	"muppet/internal/muppet"
+	"muppet/internal/sat"
 )
+
+// oneShot is the nil cache: each reconcile on it solves on a fresh
+// one-shot workspace.
+var oneShot *muppet.SolveCache
 
 func TestGenerateDeterministic(t *testing.T) {
 	p := Params{Services: 4, PortsPerService: 2, Flows: 5, BannedPorts: 2, Seed: 7}
@@ -47,7 +53,7 @@ func TestScenarioHasConflictAndResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := muppet.Reconcile(sys, []*muppet.Party{k8sParty, strictParty}); res.OK {
+	if res := oneShot.ReconcileCtx(context.Background(), sys, []*muppet.Party{k8sParty, strictParty}, sat.Budget{}); res.OK {
 		t.Fatal("strict goals must conflict with the bans")
 	}
 
@@ -55,7 +61,7 @@ func TestScenarioHasConflictAndResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := muppet.Reconcile(sys, []*muppet.Party{k8sParty, relaxedParty})
+	res := oneShot.ReconcileCtx(context.Background(), sys, []*muppet.Party{k8sParty, relaxedParty}, sat.Budget{})
 	if !res.OK {
 		t.Fatalf("relaxed goals must reconcile: %v", res.Feedback)
 	}
@@ -107,7 +113,7 @@ func TestScenarioScalesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := muppet.Reconcile(sys, []*muppet.Party{k8sParty, relaxedParty})
+	res := oneShot.ReconcileCtx(context.Background(), sys, []*muppet.Party{k8sParty, relaxedParty}, sat.Budget{})
 	if !res.OK {
 		t.Fatalf("12-service scenario must reconcile: %v", res.Feedback)
 	}

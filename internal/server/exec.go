@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"muppet"
+	"muppet/internal/target"
 )
 
 // Verdict codes shared by the CLI's exit status and the daemon's JSON
@@ -138,7 +139,7 @@ func ExecFed(ctx context.Context, st *State, cache *muppet.SolveCache, req Reque
 		}
 		env, err := muppet.ComputeEnvelopeCtx(ctx, st.Sys, recipient, []*muppet.Party{sender})
 		if err != nil {
-			indeterminate(muppet.StopCancelled)
+			indeterminate(target.FromContext(err))
 			break
 		}
 		fmt.Fprint(&out, env)

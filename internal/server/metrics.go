@@ -258,7 +258,6 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 
 	fmt.Fprintln(w, "# HELP muppetd_translation_cache_total Translation-cache events across every session built, evicted ones included, by kind.")
 	fmt.Fprintln(w, "# TYPE muppetd_translation_cache_total counter")
-	fmt.Fprintf(w, "muppetd_translation_cache_total{kind=\"pointer_hit\"} %d\n", reuse.Translation.PointerHits)
 	fmt.Fprintf(w, "muppetd_translation_cache_total{kind=\"struct_hit\"} %d\n", reuse.Translation.StructHits)
 	fmt.Fprintf(w, "muppetd_translation_cache_total{kind=\"miss\"} %d\n", reuse.Translation.Misses)
 

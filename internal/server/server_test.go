@@ -437,6 +437,33 @@ func TestBudgetHeaders(t *testing.T) {
 	}
 }
 
+// TestExecEnvelopeStopReason: an envelope request whose context is done
+// before the rewrite starts names the context's stop, as the solving ops
+// do: an expired deadline is "deadline exceeded", a cancellation
+// "cancelled".
+func TestExecEnvelopeStopReason(t *testing.T) {
+	st := fig1State(t)
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		ctx  context.Context
+		stop string
+	}{{expired, "deadline exceeded"}, {cancelled, "cancelled"}} {
+		resp, err := Exec(tc.ctx, st, nil, Request{Op: "envelope"}, muppet.Budget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != CodeIndeterminate || resp.Stop != tc.stop {
+			t.Fatalf("envelope: code %d stop %q, want %d %q", resp.Code, resp.Stop, CodeIndeterminate, tc.stop)
+		}
+		if want := "INDETERMINATE (" + tc.stop + ")\n"; resp.Output != want {
+			t.Fatalf("envelope output %q, want %q", resp.Output, want)
+		}
+	}
+}
+
 // TestMaxTimeoutCapsRequests asserts the server-side budget ceiling: a
 // request asking for more time than the configured cap is bounded by the
 // cap (observable as an indeterminate verdict under a tiny cap).

@@ -61,7 +61,6 @@ const (
 
 // Stats counts preprocessing work across a Preprocessor's lifetime.
 type Stats struct {
-	Runs             int64 // completed Run calls
 	VarsEliminated   int64 // variables eliminated (net of restores)
 	ClausesSubsumed  int64 // clauses deleted by subsumption
 	LitsStrengthened int64 // literals removed by self-subsuming resolution
@@ -211,7 +210,6 @@ type Result struct {
 // is polled between variable eliminations; aborting returns the valid
 // partial result. The input slices are not modified.
 func (p *Preprocessor) Run(clauses [][]Lit, abort func() bool) Result {
-	p.Stats.Runs++
 	p.Stats.ClausesIn = int64(len(clauses))
 	for _, lits := range clauses {
 		for _, l := range lits {

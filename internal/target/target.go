@@ -25,6 +25,7 @@ package target
 
 import (
 	"context"
+	"errors"
 
 	"muppet/internal/sat"
 )
@@ -80,6 +81,16 @@ func FromSat(r sat.StopReason) StopReason {
 	default:
 		return StopNone
 	}
+}
+
+// FromContext names the stop behind a context error, for steps that
+// check the context instead of running the solver: an expired deadline
+// is StopDeadline, any other error StopCancelled.
+func FromContext(err error) StopReason {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return StopDeadline
+	}
+	return StopCancelled
 }
 
 // Strategy selects the distance-bound search schedule.

@@ -26,12 +26,6 @@ func AsInt(v Value) (int64, bool) {
 	return n, ok
 }
 
-// AsBool asserts v to a boolean.
-func AsBool(v Value) (bool, bool) {
-	b, ok := v.(bool)
-	return b, ok
-}
-
 // Get descends a chain of mapping keys, reporting whether every step
 // existed.
 func Get(v Value, path ...string) (Value, bool) {

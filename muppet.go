@@ -34,7 +34,7 @@
 //	k8sGoals, _ := muppet.LoadK8sGoals("k8s_goals.csv")
 //	provider, _, _ := muppet.NewK8sParty(sys, bundle.K8s, muppet.Offer{}, k8sGoals)
 //	tenant, _, _ := muppet.NewIstioParty(sys, bundle.Istio, muppet.AllSoft(), nil)
-//	env := muppet.ComputeEnvelope(sys, tenant, []*muppet.Party{provider})
+//	env, _ := muppet.ComputeEnvelopeCtx(ctx, sys, tenant, []*muppet.Party{provider})
 //	fmt.Println(env) // the Fig. 5 envelope, in Alloy-like syntax
 package muppet
 
@@ -130,9 +130,9 @@ type (
 	Envelope = envelope.Envelope
 )
 
-// Budgets and degradation. Every workflow has a Ctx variant taking a
-// context and a Budget; when either interrupts the solver, results come
-// back Indeterminate (with a StopReason) instead of a fabricated verdict.
+// Budgets and degradation. Every solving workflow takes a context and a
+// Budget; when either interrupts the solver, results come back
+// Indeterminate (with a StopReason) instead of a fabricated verdict.
 type (
 	// Budget bounds solver work: wall-clock deadline, conflict cap,
 	// propagation cap. The zero value is unlimited.
@@ -153,9 +153,10 @@ const (
 
 // Incremental reuse. A SolveCache keeps live solving sessions across
 // workflow calls (negotiation rounds, conformance retries, repeated
-// checks), turning them into incremental solves. It is a performance
+// checks), turning them into incremental solves; the workflow functions
+// below that it serves run its methods on a nil cache. It is a performance
 // feature only: verdicts, models' validity, and blame cores are identical
-// with or without it.
+// either way.
 type (
 	// SolveCache serves the workflow queries from live, reusable solving
 	// sessions. Single-goroutine; use one per worker (see FanOut).
@@ -312,37 +313,21 @@ func AllHoles() Offer { return encode.AllHoles() }
 
 // --- algorithms & workflows ---
 
-// LocalConsistency is Alg. 1: complete the subject's offer, all other
+// LocalConsistencyCtx is Alg. 1: complete the subject's offer, all other
 // parties free, to satisfy the subject's goals.
-func LocalConsistency(sys *System, subject *Party, others []*Party) *Result {
-	return core.LocalConsistency(sys, subject, others)
-}
-
-// LocalConsistencyCtx is LocalConsistency under a cancellation context and
-// a solver work budget.
 func LocalConsistencyCtx(ctx context.Context, sys *System, subject *Party, others []*Party, b Budget) *Result {
-	return core.LocalConsistencyCtx(ctx, sys, subject, others, b)
+	return (*SolveCache)(nil).LocalConsistencyCtx(ctx, sys, subject, others, b)
 }
 
-// Reconcile is Alg. 2: complete every party's offer so that the union of
-// configurations satisfies the union of goals.
-func Reconcile(sys *System, parties []*Party) *Result {
-	return core.Reconcile(sys, parties)
-}
-
-// ReconcileCtx is Reconcile under a cancellation context and a solver work
-// budget; on exhaustion the result is Indeterminate, never a bogus core.
+// ReconcileCtx is Alg. 2: complete every party's offer so that the union
+// of configurations satisfies the union of goals.
 func ReconcileCtx(ctx context.Context, sys *System, parties []*Party, b Budget) *Result {
-	return core.ReconcileCtx(ctx, sys, parties, b)
+	return (*SolveCache)(nil).ReconcileCtx(ctx, sys, parties, b)
 }
 
-// ComputeEnvelope is Alg. 3: the senders' goals, modulo their concrete
-// settings, expressed over the recipient's domain.
-func ComputeEnvelope(sys *System, recipient *Party, senders []*Party) *Envelope {
-	return core.ComputeEnvelope(sys, recipient, senders)
-}
-
-// ComputeEnvelopeCtx is ComputeEnvelope gated on a cancellation context.
+// ComputeEnvelopeCtx is Alg. 3: the senders' goals, modulo their concrete
+// settings, expressed over the recipient's domain. A context that is
+// already done returns its error instead of an envelope.
 func ComputeEnvelopeCtx(ctx context.Context, sys *System, recipient *Party, senders []*Party) (*Envelope, error) {
 	return core.ComputeEnvelopeCtx(ctx, sys, recipient, senders)
 }
@@ -352,35 +337,24 @@ func CheckCandidate(sys *System, p *Party, env *Envelope, withOwnGoals bool, oth
 	return core.CheckCandidate(sys, p, env, withOwnGoals, others...)
 }
 
-// MinimalEdit is the second half of Fig. 8: satisfy the constraints with
-// minimal deviation from the party's soft preferences.
-func MinimalEdit(sys *System, p *Party, constraints []relational.Formula, others ...*Party) *Result {
-	return core.MinimalEdit(sys, p, constraints, others...)
-}
-
-// MinimalEditCtx is MinimalEdit under a cancellation context and a solver
-// work budget; an interrupted search degrades to the best valid
-// completion found.
+// MinimalEditCtx is the second half of Fig. 8: satisfy the constraints
+// with minimal deviation from the party's soft preferences. An
+// interrupted search degrades to the best valid completion found.
 func MinimalEditCtx(ctx context.Context, sys *System, p *Party, constraints []relational.Formula, b Budget, others ...*Party) *Result {
-	return core.MinimalEditCtx(ctx, sys, p, constraints, b, others...)
+	return (*SolveCache)(nil).MinimalEditCtx(ctx, sys, p, constraints, b, others...)
 }
 
-// GoalsCompatible compares a received envelope with the recipient's goals
-// (Sec. 3's second envelope use): can ANY recipient configuration satisfy
-// both? If not, the recipient's goals must change.
-func GoalsCompatible(sys *System, recipient *Party, env *Envelope, senders ...*Party) *Result {
-	return core.GoalsCompatible(sys, recipient, env, senders...)
+// GoalsCompatibleCtx compares a received envelope with the recipient's
+// goals (Sec. 3's second envelope use): can ANY recipient configuration
+// satisfy both? If not, the recipient's goals must change.
+func GoalsCompatibleCtx(ctx context.Context, sys *System, recipient *Party, env *Envelope, b Budget, senders ...*Party) *Result {
+	return core.GoalsCompatibleCtx(ctx, sys, recipient, env, b, senders...)
 }
 
-// RunConformance drives the Fig. 7 conformance workflow.
-func RunConformance(sys *System, provider, tenant *Party) *ConformanceOutcome {
-	return core.RunConformance(sys, provider, tenant)
-}
-
-// RunConformanceCtx is RunConformance under a cancellation context and a
-// solver work budget shared by every solve of the workflow.
+// RunConformanceCtx drives the Fig. 7 conformance workflow, sharing the
+// budget across every solve of the workflow.
 func RunConformanceCtx(ctx context.Context, sys *System, provider, tenant *Party, b Budget) *ConformanceOutcome {
-	return core.RunConformanceCtx(ctx, sys, provider, tenant, b)
+	return (*SolveCache)(nil).RunConformanceCtx(ctx, sys, provider, tenant, b)
 }
 
 // NewNegotiation registers parties for the Fig. 9 negotiation workflow.
@@ -388,10 +362,10 @@ func NewNegotiation(sys *System, parties ...*Party) *Negotiation {
 	return core.NewNegotiation(sys, parties...)
 }
 
-// SynthesizeMonolithic is the Fig. 6 single-shot baseline over the union
-// of all goals, with no partiality or negotiation.
-func SynthesizeMonolithic(sys *System, parties []*Party) *Result {
-	return core.SynthesizeMonolithic(sys, parties)
+// SynthesizeMonolithicCtx is the Fig. 6 single-shot baseline over the
+// union of all goals, with no partiality or negotiation.
+func SynthesizeMonolithicCtx(ctx context.Context, sys *System, parties []*Party, b Budget) *Result {
+	return core.SynthesizeMonolithicCtx(ctx, sys, parties, b)
 }
 
 // --- runtime evaluation ---

@@ -1,12 +1,23 @@
 package muppet_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"muppet"
 	"muppet/internal/relational"
 )
+
+// mustEnvelope computes the envelope the senders send to recipient.
+func mustEnvelope(t testing.TB, sys *muppet.System, recipient *muppet.Party, senders ...*muppet.Party) *muppet.Envelope {
+	t.Helper()
+	env, err := muppet.ComputeEnvelopeCtx(context.Background(), sys, recipient, senders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
 
 // TestPublicAPIWalkthrough drives the paper's Sec. 3 story end to end
 // through the public API only: conflict, envelope, relaxation, conformance,
@@ -47,12 +58,12 @@ func TestPublicAPIWalkthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := muppet.Reconcile(sys, []*muppet.Party{k8sParty, strictParty}); res.OK {
+	if res := muppet.ReconcileCtx(context.Background(), sys, []*muppet.Party{k8sParty, strictParty}, muppet.Budget{}); res.OK {
 		t.Fatal("Fig. 2 ∧ Fig. 3 must conflict")
 	}
 
 	// The envelope.
-	env := muppet.ComputeEnvelope(sys, strictParty, []*muppet.Party{k8sParty})
+	env := mustEnvelope(t, sys, strictParty, k8sParty)
 	if env.Trivial() || env.Unsatisfiable() {
 		t.Fatal("E_{K8s→Istio} must be non-trivial and satisfiable")
 	}
@@ -66,7 +77,7 @@ func TestPublicAPIWalkthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := muppet.RunConformance(sys, provider, tenant)
+	out := muppet.RunConformanceCtx(context.Background(), sys, provider, tenant, muppet.Budget{})
 	if !out.Reconciled {
 		t.Fatalf("conformance must succeed: failed at %s: %v", out.FailedStep, out.Feedback)
 	}
@@ -119,7 +130,7 @@ func TestFig5EnvelopeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := muppet.ComputeEnvelope(sys, istioParty, []*muppet.Party{k8sParty})
+	env := mustEnvelope(t, sys, istioParty, k8sParty)
 
 	got := env.String()
 	want := "// envelope E_{K8s→Istio}\n" +
@@ -167,7 +178,7 @@ func TestScenarioAPIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := muppet.Reconcile(sys, []*muppet.Party{k8sParty, istioParty})
+	res := muppet.ReconcileCtx(context.Background(), sys, []*muppet.Party{k8sParty, istioParty}, muppet.Budget{})
 	if !res.OK {
 		t.Fatalf("generated scenario must reconcile: %v", res.Feedback)
 	}
@@ -248,31 +259,31 @@ spec:
 	}
 
 	// Alg. 1 via the façade.
-	if res := muppet.LocalConsistency(sys, k8sParty, []*muppet.Party{istioParty}); !res.OK {
+	if res := muppet.LocalConsistencyCtx(context.Background(), sys, k8sParty, []*muppet.Party{istioParty}, muppet.Budget{}); !res.OK {
 		t.Fatalf("local consistency: %v", res.Feedback)
 	}
 	// Monolithic baseline via the façade.
-	if res := muppet.SynthesizeMonolithic(sys, []*muppet.Party{k8sParty, istioParty}); !res.OK {
+	if res := muppet.SynthesizeMonolithicCtx(context.Background(), sys, []*muppet.Party{k8sParty, istioParty}, muppet.Budget{}); !res.OK {
 		t.Fatalf("monolithic: %v", res.Feedback)
 	}
 	// Envelope + English + goal comparison + candidate check + edit.
-	env := muppet.ComputeEnvelope(sys, istioParty, []*muppet.Party{k8sParty})
+	env := mustEnvelope(t, sys, istioParty, k8sParty)
 	prose := muppet.EnglishEnvelope(sys, env)
 	if !strings.Contains(prose, "E_{K8s→Istio}") {
 		t.Fatalf("prose: %q", prose)
 	}
-	if res := muppet.GoalsCompatible(sys, istioParty, env, k8sParty); !res.OK {
+	if res := muppet.GoalsCompatibleCtx(context.Background(), sys, istioParty, env, muppet.Budget{}, k8sParty); !res.OK {
 		t.Fatalf("goals should be compatible: %v", res.Feedback)
 	}
 	ok, _ := muppet.CheckCandidate(sys, istioParty, env, false, k8sParty)
 	_ = ok
-	edit := muppet.MinimalEdit(sys, istioParty,
-		append([]relational.Formula{env.Formula()}, istioParty.GoalFormulas()...), k8sParty)
+	edit := muppet.MinimalEditCtx(context.Background(), sys, istioParty,
+		append([]relational.Formula{env.Formula()}, istioParty.GoalFormulas()...), muppet.Budget{}, k8sParty)
 	if !edit.OK {
 		t.Fatalf("minimal edit: %v", edit.Feedback)
 	}
 	// Negotiation via the façade.
-	out := muppet.NewNegotiation(sys, k8sParty, istioParty).Run()
+	out := muppet.NewNegotiation(sys, k8sParty, istioParty).RunCtx(context.Background(), muppet.Budget{})
 	if !out.Reconciled {
 		t.Fatalf("negotiation: %v", out.Feedback)
 	}
@@ -281,7 +292,7 @@ spec:
 	if err != nil {
 		t.Fatal(err)
 	}
-	envTrivial := muppet.ComputeEnvelope(sys, k8sParty, []*muppet.Party{quiet})
+	envTrivial := mustEnvelope(t, sys, k8sParty, quiet)
 	if !envTrivial.Trivial() {
 		t.Fatal("goal-less sender must produce a trivial envelope")
 	}
