@@ -382,7 +382,6 @@ func reportReuse(b *testing.B, st muppet.ReuseStats) {
 	b.ReportMetric(float64(st.Encoding.ClausesRemoved), "clauses-removed")
 	b.ReportMetric(float64(st.Encoding.ArenaBytes), "arena-bytes")
 	b.ReportMetric(float64(st.Encoding.ChronoBacktracks), "chrono-backtracks")
-	b.ReportMetric(float64(st.Encoding.OTFSubsumed), "otf-subsumed")
 }
 
 // BenchmarkAlg2ReconcileWarm is Alg. 2 on the walkthrough served from a

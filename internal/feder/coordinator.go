@@ -120,22 +120,6 @@ func (c *Coordinator) UseCache(cache *muppet.SolveCache) *Coordinator {
 // Session exposes the run's session id (tests).
 func (c *Coordinator) Session() string { return c.session }
 
-// Stats reports the run's robustness counters for observability.
-type Stats struct {
-	Retries  map[string]int64        // per-peer retry attempts
-	Breakers map[string]BreakerState // per-peer breaker position
-}
-
-// Stats snapshots the per-peer retry counters and breaker states.
-func (c *Coordinator) Stats() Stats {
-	s := Stats{Retries: make(map[string]int64), Breakers: make(map[string]BreakerState)}
-	for _, cl := range c.clients {
-		s.Retries[cl.Name] = cl.Retried()
-		s.Breakers[cl.Name] = cl.Breaker.State()
-	}
-	return s
-}
-
 func (c *Coordinator) parties() []*muppet.Party {
 	ps := make([]*muppet.Party, len(c.replicas))
 	for i, lp := range c.replicas {

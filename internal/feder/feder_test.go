@@ -83,6 +83,47 @@ func fastOpts() feder.Options {
 	}
 }
 
+// hooks records what a coordinator run reports through Options.OnRetry
+// and OnBreaker, the hooks behind /metrics and muppet -v: each peer's
+// retry count and final breaker position.
+type hooks struct {
+	mu       sync.Mutex
+	retries  map[string]int64
+	breakers map[string]feder.BreakerState
+}
+
+// observe installs recording hooks on opts.
+func observe(opts *feder.Options) *hooks {
+	h := &hooks{retries: map[string]int64{}, breakers: map[string]feder.BreakerState{}}
+	opts.OnRetry = func(peer string) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.retries[peer]++
+	}
+	opts.OnBreaker = func(peer string, st feder.BreakerState) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.breakers[peer] = st
+	}
+	return h
+}
+
+// breaker reports the peer's published breaker position; ok is false
+// when none was published.
+func (h *hooks) breaker(peer string) (st feder.BreakerState, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	st, ok = h.breakers[peer]
+	return st, ok
+}
+
+// retried reports the retries published for peer.
+func (h *hooks) retried(peer string) int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.retries[peer]
+}
+
 // hangGuard bounds a coordinator run, through its context and its solver
 // budget, far above any real run.
 func hangGuard(t *testing.T) (context.Context, muppet.Budget) {
@@ -187,6 +228,7 @@ func TestFederatedMatchesSingleProcess(t *testing.T) {
 			var transcript bytes.Buffer
 			opts := fastOpts()
 			opts.Transcript = feder.NewTranscriptWriter(&transcript, key)
+			seen := observe(&opts)
 			co, replicas := newCoordinator(t, fedState(t, tc.strict), k8sSrv.URL, istioSrv.URL, opts)
 
 			fed := co.Run(hangGuard(t))
@@ -212,8 +254,10 @@ func TestFederatedMatchesSingleProcess(t *testing.T) {
 			if n == 0 {
 				t.Fatal("empty transcript")
 			}
-			if st := co.Stats(); st.Breakers["K8s"] != feder.BreakerClosed || st.Breakers["Istio"] != feder.BreakerClosed {
-				t.Fatalf("healthy run left breakers %v", st.Breakers)
+			for _, peer := range []string{"K8s", "Istio"} {
+				if st, ok := seen.breaker(peer); !ok || st != feder.BreakerClosed {
+					t.Fatalf("healthy run left the %s breaker %v (published %v)", peer, st, ok)
+				}
 			}
 		})
 	}
@@ -303,6 +347,7 @@ func TestFederatedChaos(t *testing.T) {
 			var transcript bytes.Buffer
 			opts := fastOpts()
 			opts.Transcript = feder.NewTranscriptWriter(&transcript, key)
+			seen := observe(&opts)
 			co, replicas := newCoordinator(t, fedState(t, true), k8sSrv.URL, istioSrv.URL, opts)
 
 			fed := co.Run(hangGuard(t))
@@ -329,20 +374,15 @@ func TestFederatedChaos(t *testing.T) {
 				if got := replicas[1].P.Describe(); got != baseIstio {
 					t.Fatalf("Istio replica diverged under faults:\n%s", got)
 				}
-				if tc.expectRetries {
-					total := int64(0)
-					for _, n := range co.Stats().Retries {
-						total += n
-					}
-					if total == 0 {
-						t.Fatal("fault class never fired: the chaos exercised nothing")
-					}
+				if tc.expectRetries && seen.retried("K8s")+seen.retried("Istio") == 0 {
+					t.Fatal("fault class never fired: the chaos exercised nothing")
 				}
 			}
 			if _, err := feder.VerifyTranscript(bytes.NewReader(transcript.Bytes()), key); err != nil {
 				t.Fatalf("transcript after %s faults: %v", tc.name, err)
 			}
-			t.Logf("%s: reason=%s rounds=%d retries=%v", tc.name, fed.Reason, len(fed.Rounds), co.Stats().Retries)
+			t.Logf("%s: reason=%s rounds=%d retries K8s=%d Istio=%d",
+				tc.name, fed.Reason, len(fed.Rounds), seen.retried("K8s"), seen.retried("Istio"))
 		})
 	}
 }
@@ -447,6 +487,7 @@ func TestFederatedDeadPeerOpensBreaker(t *testing.T) {
 	opts.Retries = 2
 	opts.BreakerThreshold = 3
 	opts.BreakerCooldown = time.Hour // keep the breaker visibly open
+	seen := observe(&opts)
 	co, _ := newCoordinator(t, fedState(t, true), k8sSrv.URL, dead.URL, opts)
 
 	fed := co.Run(hangGuard(t))
@@ -460,15 +501,14 @@ func TestFederatedDeadPeerOpensBreaker(t *testing.T) {
 	if !errors.As(fed.Err, &pe) || pe.Status != http.StatusInternalServerError {
 		t.Fatalf("peer error %v, want a typed 500 PeerError", fed.Err)
 	}
-	st := co.Stats()
-	if st.Breakers["Istio"] != feder.BreakerOpen {
-		t.Fatalf("Istio breaker %v, want open", st.Breakers["Istio"])
+	if st, ok := seen.breaker("Istio"); !ok || st != feder.BreakerOpen {
+		t.Fatalf("Istio breaker %v (published %v), want open", st, ok)
 	}
-	if st.Breakers["K8s"] != feder.BreakerClosed {
-		t.Fatalf("K8s breaker %v, want closed", st.Breakers["K8s"])
+	if st, ok := seen.breaker("K8s"); !ok || st != feder.BreakerClosed {
+		t.Fatalf("K8s breaker %v (published %v), want closed", st, ok)
 	}
-	if st.Retries["Istio"] != 2 {
-		t.Fatalf("Istio retries %d, want 2", st.Retries["Istio"])
+	if n := seen.retried("Istio"); n != 2 {
+		t.Fatalf("Istio retries %d, want 2", n)
 	}
 	mu.Lock()
 	defer mu.Unlock()

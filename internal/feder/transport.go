@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -106,8 +105,6 @@ type PeerClient struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	retried atomic.Int64
 }
 
 // NewPeerClient builds a client with the given robustness parameters.
@@ -124,9 +121,6 @@ func NewPeerClient(name, baseURL string, retries int, breaker *Breaker, seed int
 		rng:         rand.New(rand.NewSource(seed)),
 	}
 }
-
-// Retried reports how many retry attempts this client has made.
-func (c *PeerClient) Retried() int64 { return c.retried.Load() }
 
 func (c *PeerClient) jitter() float64 {
 	c.rngMu.Lock()
@@ -180,7 +174,6 @@ func (c *PeerClient) Call(ctx context.Context, op string, in, out any) error {
 		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < delay {
 			return last // the deadline caps the retry budget
 		}
-		c.retried.Add(1)
 		if c.OnRetry != nil {
 			c.OnRetry(c.Name)
 		}

@@ -66,9 +66,9 @@ type ReuseStats struct {
 // EncodingStats sizes the encoding pipeline: how big the circuits and
 // clause databases are, and how much the preprocessing layers took off.
 // CircuitNodes, SolverVars, SolverClauses, LearntClauses, VarsEliminated
-// and ArenaBytes are gauges of live sessions; ClausesRemoved, Restored,
-// ChronoBacktracks and OTFSubsumed are cumulative counters, which a
-// SolveCache keeps for the sessions it evicts.
+// and ArenaBytes are gauges of live sessions; ClausesRemoved, Restored
+// and ChronoBacktracks are cumulative counters, which a SolveCache keeps
+// for the sessions it evicts.
 type EncodingStats struct {
 	// CircuitNodes is the total number of AIG nodes allocated.
 	CircuitNodes int64
@@ -89,11 +89,9 @@ type EncodingStats struct {
 	// ArenaBytes is the exact backing size of the flat clause arenas —
 	// the measured counterpart of the ApproxBytes estimate.
 	ArenaBytes int64
-	// Search-core counters, accumulated across each session's lifetime:
-	// chronological backtracks taken instead of long backjumps, and
-	// conflict clauses deleted by on-the-fly subsumption.
+	// ChronoBacktracks accumulates, across each session's lifetime, the
+	// chronological backtracks taken instead of long backjumps.
 	ChronoBacktracks int64
-	OTFSubsumed      int64
 }
 
 // Approximate per-object sizes of the live solving structures, in bytes.
@@ -123,7 +121,6 @@ func (e *EncodingStats) add(t EncodingStats) {
 	e.Restored += t.Restored
 	e.ArenaBytes += t.ArenaBytes
 	e.ChronoBacktracks += t.ChronoBacktracks
-	e.OTFSubsumed += t.OTFSubsumed
 }
 
 // counters returns e's cumulative counters alone, its gauges zeroed.
@@ -132,7 +129,6 @@ func (e EncodingStats) counters() EncodingStats {
 		ClausesRemoved:   e.ClausesRemoved,
 		Restored:         e.Restored,
 		ChronoBacktracks: e.ChronoBacktracks,
-		OTFSubsumed:      e.OTFSubsumed,
 	}
 }
 
@@ -150,7 +146,6 @@ func sessionEncodingStats(ss *relational.Session) EncodingStats {
 
 		ArenaBytes:       s.ArenaBytes(),
 		ChronoBacktracks: s.Stats.ChronoBacktracks,
-		OTFSubsumed:      s.Stats.OTFSubsumed,
 	}
 }
 

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -131,9 +132,40 @@ func FuzzDifferentialCDCL(f *testing.F) {
 	})
 }
 
+// learntSnap records what a learnt clause must keep when the arena is
+// rebuilt: its literals and its exact activity.
+type learntSnap struct {
+	lits []Lit
+	act  float32
+}
+
+// checkLearnts compares the solver's learnt list with the snapshots, in
+// order: each clause must be live, flagged learnt, and keep its literals
+// and its exact activity.
+func checkLearnts(t *testing.T, s *Solver, want []learntSnap, after string) {
+	t.Helper()
+	if len(s.learnts) != len(want) {
+		t.Fatalf("%s: %d learnts, want %d", after, len(s.learnts), len(want))
+	}
+	for i, c := range s.learnts {
+		if s.ca.deleted(c) || !s.ca.learnt(c) {
+			t.Fatalf("%s: learnt %d deleted=%v learnt=%v", after, i, s.ca.deleted(c), s.ca.learnt(c))
+		}
+		if got := s.ca.lits(c); !slices.Equal(got, want[i].lits) {
+			t.Fatalf("%s: learnt %d literals changed: %v -> %v", after, i, want[i].lits, got)
+		}
+		if got := s.ca.act(c); got != want[i].act {
+			t.Fatalf("%s: learnt %d activity changed: %v -> %v", after, i, want[i].act, got)
+		}
+	}
+}
+
 // TestArenaGCRemapsEverything exercises garbageCollect directly: problem
-// clauses must keep their literals, the watch lists must be remapped to
-// the relocated crefs, and dead arena segments must be reclaimed.
+// and learnt clauses must keep their literals, learnt clauses their flag
+// and exact activity (the activity word doubles as the forwarding slot),
+// the watch lists must be remapped to the relocated crefs, and dead arena
+// segments must be reclaimed. runSimplify's arena rebuild must carry the
+// learnt clauses over the same way.
 func TestArenaGCRemapsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nVars = 12
@@ -144,11 +176,28 @@ func TestArenaGCRemapsEverything(t *testing.T) {
 	}
 	s.flushWatches() // AddClause defers attachment; this test inspects watches
 
-	// Interleave garbage between live clauses: orphan learnts that are
-	// allocated and immediately deleted, so the arena has holes to squeeze.
+	// Interleave garbage with live learnt clauses: orphan learnts that are
+	// allocated and immediately deleted, so the arena has holes to squeeze,
+	// between learnts of distinct activities. Each live learnt extends a
+	// problem clause by one literal, so it is implied and the final
+	// verdict check below still holds.
+	var learnts []learntSnap
 	for i := 0; i < 20; i++ {
 		c := s.ca.alloc([]Lit{PosLit(Var(i % nVars)), NegLit(Var((i + 1) % nVars)), PosLit(Var((i + 2) % nVars))}, true)
 		s.ca.delete(c)
+		if i%3 != 0 {
+			continue
+		}
+		lits := append([]Lit(nil), s.ca.lits(s.clauses[i%len(s.clauses)])...)
+		for v := Var(0); ; v++ {
+			if !slices.ContainsFunc(lits, func(l Lit) bool { return l.Var() == v }) {
+				lits = append(lits, MkLit(v, i%2 == 0))
+				break
+			}
+		}
+		act := float32(i+1) * 0.37
+		mkLearnt(s, act, lits...)
+		learnts = append(learnts, learntSnap{lits, act})
 	}
 	wasted := s.ca.wasted
 	if wasted == 0 {
@@ -176,8 +225,8 @@ func TestArenaGCRemapsEverything(t *testing.T) {
 		t.Fatalf("GC changed the clause count: %d -> %d", len(before), len(s.clauses))
 	}
 	for i, c := range s.clauses {
-		if s.ca.deleted(c) {
-			t.Fatalf("clause %d deleted by GC", i)
+		if s.ca.deleted(c) || s.ca.learnt(c) {
+			t.Fatalf("clause %d deleted=%v learnt=%v after GC", i, s.ca.deleted(c), s.ca.learnt(c))
 		}
 		got := s.ca.lits(c)
 		if len(got) != len(before[i]) {
@@ -189,8 +238,9 @@ func TestArenaGCRemapsEverything(t *testing.T) {
 			}
 		}
 	}
+	checkLearnts(t, s, learnts, "GC")
 	// Every attached clause must be watched on its first two literals.
-	for i, c := range s.clauses {
+	for i, c := range append(slices.Clone(s.clauses), s.learnts...) {
 		lits := s.ca.lits(c)
 		for _, w := range lits[:2] {
 			found := false
@@ -213,6 +263,14 @@ func TestArenaGCRemapsEverything(t *testing.T) {
 			}
 		}
 	}
+
+	// With every variable frozen, preprocessing eliminates nothing, so
+	// every learnt clause must come through the rebuild.
+	for v := 0; v < nVars; v++ {
+		s.pp().Freeze(int32(v))
+	}
+	s.runSimplify()
+	checkLearnts(t, s, learnts, "runSimplify")
 
 	if got, want := s.Solve(), bruteForce(nVars, clauses); (got == Sat) != want {
 		t.Fatalf("post-GC verdict %v disagrees with brute force %v", got, want)

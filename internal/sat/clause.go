@@ -4,8 +4,8 @@ import "math"
 
 // The clause database is a single flat arena of int32 words (struct of
 // arrays in the MiniSat/CaDiCaL tradition): every clause is a fixed
-// 3-word header — size+flags, LBD, activity — followed by its literals,
-// and a clause reference (cref) is the arena offset of its header. The
+// 2-word header — size+flags, activity — followed by its literals, and a
+// clause reference (cref) is the arena offset of its header. The
 // layout removes the two heap objects the previous representation paid
 // per clause (the struct and its literal slice), keeps propagation
 // walking contiguous memory, and leaves the garbage collector nothing to
@@ -13,8 +13,8 @@ import "math"
 //
 // Deletion is a header flag; the dead words are reclaimed by
 // garbageCollect (solver.go), which compacts live clauses into a fresh
-// arena and remaps every outstanding cref through a relocation address
-// written into the dead header.
+// arena and remaps every outstanding cref through a forwarding address
+// written into the moved clause's activity word.
 
 // cref references a clause by its arena offset. crefUndef is the "no
 // clause" sentinel used for decisions and level-0 facts.
@@ -23,13 +23,12 @@ type cref int32
 const crefUndef cref = -1
 
 const (
-	claHdrWords = 3 // size+flags word, LBD word, activity word
+	claHdrWords = 2 // size+flags word, activity word
 
 	claFlagLearnt  = 1
 	claFlagDeleted = 2
 	claFlagReloced = 4
-	claFlagUsed    = 8 // learnt clause used in conflict analysis since the last reduceDB
-	claFlagBits    = 4 // size is stored shifted past the flags
+	claFlagBits    = 3 // size is stored shifted past the flags
 )
 
 // clauseDB is the arena. The zero value is an empty database.
@@ -39,14 +38,14 @@ type clauseDB struct {
 }
 
 // alloc appends a clause and returns its reference. The literals are
-// copied; the header starts with LBD 0 and activity 0.
+// copied; the header starts with activity 0.
 func (db *clauseDB) alloc(lits []Lit, learnt bool) cref {
 	c := cref(len(db.data))
 	flags := 0
 	if learnt {
 		flags = claFlagLearnt
 	}
-	db.data = append(db.data, Lit(len(lits)<<claFlagBits|flags), 0, 0)
+	db.data = append(db.data, Lit(len(lits)<<claFlagBits|flags), 0)
 	db.data = append(db.data, lits...)
 	return c
 }
@@ -76,26 +75,16 @@ func (db *clauseDB) delete(c cref) {
 	db.wasted += claHdrWords + db.size(c)
 }
 
-// used/markUsed/clearUsed manage the "touched since the last reduction"
-// flag backing the learnt-clause tiers: a mid/local-tier clause that
-// served as a conflict antecedent earns one round of reprieve from
-// reduceDB (see search.go).
-func (db *clauseDB) used(c cref) bool { return db.data[c]&claFlagUsed != 0 }
-func (db *clauseDB) markUsed(c cref)  { db.data[c] |= claFlagUsed }
-func (db *clauseDB) clearUsed(c cref) { db.data[c] &^= claFlagUsed }
-
-func (db *clauseDB) lbd(c cref) int32       { return int32(db.data[c+1]) }
-func (db *clauseDB) setLBD(c cref, l int32) { db.data[c+1] = Lit(l) }
-
 func (db *clauseDB) act(c cref) float32 {
-	return math.Float32frombits(uint32(db.data[c+2]))
+	return math.Float32frombits(uint32(db.data[c+1]))
 }
 func (db *clauseDB) setAct(c cref, a float32) {
-	db.data[c+2] = Lit(math.Float32bits(a))
+	db.data[c+1] = Lit(math.Float32bits(a))
 }
 
 // reloced/relocTarget read the forwarding address garbageCollect leaves
-// in a moved clause's header (the LBD word is reused for the target).
+// in a moved clause's header (the activity word is reused for the
+// target, so the activity must be copied out before setReloced).
 func (db *clauseDB) reloced(c cref) bool     { return db.data[c]&claFlagReloced != 0 }
 func (db *clauseDB) relocTarget(c cref) cref { return cref(db.data[c+1]) }
 

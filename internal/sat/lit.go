@@ -1,7 +1,7 @@
 // Package sat implements a conflict-driven clause-learning (CDCL)
 // boolean satisfiability solver in the MiniSat tradition: two-watched-literal
 // propagation, first-UIP conflict analysis, exponential VSIDS variable
-// activities, phase saving, Luby restarts, and LBD-based learnt-clause
+// activities, phase saving, Luby restarts, and activity-based learnt-clause
 // database reduction. It supports incremental solving under assumptions and
 // reports a final-conflict assumption core on UNSAT.
 //

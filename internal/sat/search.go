@@ -19,16 +19,6 @@ func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 		}
 		if s.ca.learnt(confl) {
 			s.claBump(confl)
-			// Tier bookkeeping (see reduceDB): an antecedent earns one
-			// round of reprieve, and its LBD is recomputed Glucose-style —
-			// a clause that got "stickier" can be promoted into the core
-			// tier, never demoted.
-			s.ca.markUsed(confl)
-			if s.ca.lbd(confl) > tierCoreLBD {
-				if nl := s.computeLBD(s.ca.lits(confl)); nl < s.ca.lbd(confl) {
-					s.ca.setLBD(confl, nl)
-				}
-			}
 		}
 		clits := s.ca.lits(confl)
 		if p != LitUndef {
@@ -116,49 +106,6 @@ func (s *Solver) litRedundant(l Lit) bool {
 	return true
 }
 
-// computeLBD returns the number of distinct decision levels among a
-// clause's literals — the "literal block distance" quality measure. The
-// per-level stamp array replaces the map the old implementation allocated
-// on every conflict.
-func (s *Solver) computeLBD(lits []Lit) int32 {
-	s.lbdTick++
-	if s.lbdTick == 0 { // wrapped: stale stamps could collide
-		for i := range s.levelStamp {
-			s.levelStamp[i] = 0
-		}
-		s.lbdTick = 1
-	}
-	tick := s.lbdTick
-	var n int32
-	for _, l := range lits {
-		lv := s.level[l.Var()]
-		for int(lv) >= len(s.levelStamp) {
-			s.levelStamp = append(s.levelStamp, 0)
-		}
-		if s.levelStamp[lv] != tick {
-			s.levelStamp[lv] = tick
-			n++
-		}
-	}
-	return n
-}
-
-// subsumes reports whether every literal of small occurs in the clause c —
-// the on-the-fly subsumption test run after conflict analysis.
-func (s *Solver) subsumes(small []Lit, c cref) bool {
-	clits := s.ca.lits(c)
-outer:
-	for _, l := range small {
-		for _, q := range clits {
-			if q == l {
-				continue outer
-			}
-		}
-		return false
-	}
-	return true
-}
-
 // analyzeFinal computes the set of assumption literals responsible for
 // forcing p false, storing their negations in s.conflict.
 func (s *Solver) analyzeFinal(p Lit) {
@@ -188,24 +135,10 @@ func (s *Solver) analyzeFinal(p Lit) {
 	s.seen[p.Var()] = 0
 }
 
-// Learnt-clause tier boundaries (CaDiCaL-style): core clauses (LBD ≤ 2,
-// "glue") are kept forever; mid clauses (LBD ≤ 6) and local clauses
-// survive a reduction only if they served as a conflict antecedent since
-// the previous one, with mid-tier clauses deleted last among the
-// candidates.
-const (
-	tierCoreLBD = 2
-	tierMidLBD  = 6
-)
-
-// reduceDB trims the learnt-clause database by tier instead of by a flat
-// activity sort: core-tier clauses, reason clauses, and binaries are kept
-// unconditionally; mid/local clauses used since the last reduction get
-// one round of reprieve (and their used flag cleared, so they must earn
-// the next one); the remaining candidates are ranked local-tier first,
-// then by descending LBD and ascending activity, and the worse half is
-// deleted. Entries already deleted on the fly are purged, and the arena
-// is compacted when enough of it has died.
+// reduceDB halves the learnt-clause database by activity (MiniSat's
+// policy): binary clauses and the reasons of current assignments are
+// kept, and the less active half of the rest is deleted. The arena is
+// compacted when enough of it has died.
 func (s *Solver) reduceDB() {
 	ca := &s.ca
 	locked := func(c cref) bool {
@@ -215,29 +148,13 @@ func (s *Solver) reduceDB() {
 	keep := s.learnts[:0]
 	cand := make([]cref, 0, len(s.learnts))
 	for _, c := range s.learnts {
-		if ca.deleted(c) {
-			continue // removed on the fly (OTF subsumption)
-		}
-		switch {
-		case ca.lbd(c) <= tierCoreLBD || ca.size(c) <= 2 || locked(c):
+		if ca.size(c) <= 2 || locked(c) {
 			keep = append(keep, c)
-		case ca.used(c):
-			ca.clearUsed(c)
-			keep = append(keep, c)
-		default:
+		} else {
 			cand = append(cand, c)
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		a, b := cand[i], cand[j]
-		if ta, tb := ca.lbd(a) > tierMidLBD, ca.lbd(b) > tierMidLBD; ta != tb {
-			return ta // local tier deleted before mid tier
-		}
-		if la, lb := ca.lbd(a), ca.lbd(b); la != lb {
-			return la > lb
-		}
-		return ca.act(a) < ca.act(b)
-	})
+	sort.Slice(cand, func(i, j int) bool { return ca.act(cand[i]) < ca.act(cand[j]) })
 	limit := len(cand) / 2
 	for i, c := range cand {
 		if i < limit {
@@ -248,9 +165,9 @@ func (s *Solver) reduceDB() {
 		}
 	}
 	s.learnts = keep
-	// The protected tiers can exceed the limit that triggered this call;
-	// grow it past the survivors so reduceDB doesn't re-fire every
-	// conflict while deleting nothing.
+	// The kept binaries and reasons can exceed the limit that triggered
+	// this call; grow it past the survivors so reduceDB doesn't re-fire
+	// every conflict while deleting nothing.
 	if float64(len(s.learnts)) >= s.maxLearnts {
 		s.maxLearnts = float64(len(s.learnts))*1.1 + 100
 	}
@@ -324,7 +241,6 @@ func (s *Solver) search(nConflicts int64) Status {
 					last := len(decs) - 1
 					decs[0], decs[last] = decs[last], decs[0]
 					c := s.ca.alloc(decs, true)
-					s.ca.setLBD(c, s.computeLBD(decs))
 					s.learnts = append(s.learnts, c)
 					s.attach(c)
 					s.uncheckedEnqueue(decs[0], c)
@@ -333,14 +249,6 @@ func (s *Solver) search(nConflicts int64) Status {
 				continue
 			}
 			learnt, btLevel := s.analyze(confl)
-			// On-the-fly subsumption: when the minimized learnt clause is a
-			// strict subset of the conflicting learnt clause, the latter is
-			// redundant — drop it now instead of carrying both to reduceDB.
-			if s.ca.learnt(confl) && len(learnt) < s.ca.size(confl) &&
-				len(learnt) <= 30 && s.subsumes(learnt, confl) {
-				s.detach(confl)
-				s.Stats.OTFSubsumed++
-			}
 			// Chrono never applies to unit learnts: a unit is a global fact
 			// that must live at level 0 — asserted higher it would be a
 			// reason-less non-decision literal, which analyze/analyzeFinal
@@ -355,7 +263,6 @@ func (s *Solver) search(nConflicts int64) Status {
 				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
 				c := s.ca.alloc(learnt, true)
-				s.ca.setLBD(c, s.computeLBD(learnt))
 				s.learnts = append(s.learnts, c)
 				s.Stats.Learnt++
 				s.attach(c)

@@ -135,7 +135,7 @@ func (s *Solver) maybeSimplify() {
 // runSimplify hands the live problem clauses (reduced under the level-0
 // assignment) to the preprocessor and rebuilds the solver's clause
 // database — a fresh arena with the simplified set — plus watches and
-// trail bookkeeping. Learnt clauses survive (with their LBD/activity)
+// trail bookkeeping. Learnt clauses survive (with their activity)
 // unless they mention an eliminated variable.
 func (s *Solver) runSimplify() {
 	s.flushWatches() // queued crefs must not outlive the arena rebuild below
@@ -210,7 +210,7 @@ func (s *Solver) runSimplify() {
 	}
 
 	// Rebuild the arena from scratch: the simplified problem clauses first,
-	// then the surviving learnts copied over with their LBD and activity.
+	// then the surviving learnts copied over with their activity.
 	// Rebuilding (rather than patching) leaves zero wasted words and packs
 	// the post-simplification database contiguously.
 	words := 0
@@ -229,9 +229,6 @@ func (s *Solver) runSimplify() {
 	}
 	newLrn := make([]cref, 0, len(s.learnts))
 	for _, c := range s.learnts {
-		if s.ca.deleted(c) {
-			continue
-		}
 		drop := false
 		for _, l := range s.ca.lits(c) {
 			if p.Eliminated(int32(l.Var())) {
@@ -244,8 +241,6 @@ func (s *Solver) runSimplify() {
 			continue
 		}
 		n := newCA.alloc(s.ca.lits(c), true)
-		newCA.data[n] |= s.ca.data[c] & claFlagUsed // tier reprieve flag
-		newCA.setLBD(n, s.ca.lbd(c))
 		newCA.setAct(n, s.ca.act(c))
 		newLrn = append(newLrn, n)
 	}

@@ -117,10 +117,8 @@ type Solver struct {
 
 	seen       []byte
 	analyzeBuf []Lit
-	toClear    []Var   // seen-flag cleanup scratch for analyze
-	addBuf     []Lit   // AddClause normalisation scratch
-	levelStamp []int32 // per-decision-level stamp backing computeLBD
-	lbdTick    int32
+	toClear    []Var // seen-flag cleanup scratch for analyze
+	addBuf     []Lit // AddClause normalisation scratch
 
 	claInc       float64
 	maxLearnts   float64
@@ -171,10 +169,8 @@ type Stats struct {
 	SimpRestored         int64
 
 	// Search-core counters: chronological backtracks taken instead of long
-	// backjumps, conflict clauses deleted because the learnt clause
-	// subsumed them on the fly, and arena compactions.
+	// backjumps, and arena compactions.
 	ChronoBacktracks int64
-	OTFSubsumed      int64
 	ArenaGCs         int64
 }
 
@@ -523,7 +519,8 @@ func (s *Solver) maybeGC() {
 // every outstanding clause reference: the problem and learnt lists, the
 // reason column, and the watch lists (purging watchers of dead clauses on
 // the way). Each moved clause leaves a forwarding address in its old
-// header, so a clause reachable from several places is copied once.
+// header's activity word, so a clause reachable from several places is
+// copied once.
 // Offsets change but list order does not, which is what keeps the
 // deterministic-output guarantees stable.
 func (s *Solver) garbageCollect() {
@@ -537,9 +534,7 @@ func (s *Solver) garbageCollect() {
 			return old.relocTarget(c)
 		}
 		n := to.alloc(old.lits(c), old.learnt(c))
-		to.data[n] |= old.data[c] & claFlagUsed // tier reprieve flag
-		to.data[n+1] = old.data[c+1]            // LBD
-		to.data[n+2] = old.data[c+2]            // activity
+		to.setAct(n, old.act(c)) // before setReloced overwrites it
 		old.setReloced(c, n)
 		return n
 	}

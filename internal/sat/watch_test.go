@@ -41,100 +41,65 @@ func TestWatcherRoundTrip(t *testing.T) {
 	}
 }
 
-// mkLearnt allocates an attached learnt clause over three fresh variables
-// with the given LBD and activity, appended to the solver's learnt list.
-func mkLearnt(s *Solver, vars [3]Var, lbd int32, act float32) cref {
-	c := s.ca.alloc([]Lit{PosLit(vars[0]), PosLit(vars[1]), PosLit(vars[2])}, true)
-	s.ca.setLBD(c, lbd)
+// mkLearnt allocates an attached learnt clause with the given activity,
+// appended to the solver's learnt list.
+func mkLearnt(s *Solver, act float32, lits ...Lit) cref {
+	c := s.ca.alloc(lits, true)
 	s.ca.setAct(c, act)
 	s.attach(c)
 	s.learnts = append(s.learnts, c)
 	return c
 }
 
-// TestReduceDBKeepsCoreTier pins the tier policy: core-tier clauses
-// (LBD ≤ tierCoreLBD) always survive a reduction; mid/local clauses with
-// the used flag survive exactly one round (the flag is cleared); among the
-// remaining candidates the local tier (LBD > tierMidLBD) is deleted
-// before the mid tier.
-func TestReduceDBKeepsCoreTier(t *testing.T) {
-	const nVars = 200
+// TestReduceDBHalvesByActivity pins the flat policy: binary clauses and
+// the reasons of current assignments survive whatever their activity, and
+// of the rest exactly the less active half is deleted and dropped from
+// the learnt list.
+func TestReduceDBHalvesByActivity(t *testing.T) {
+	const nVars = 40
 	s := newSolverWith(nVars, [][]Lit{{PosLit(0), PosLit(1)}}, Options{DisableSimp: true})
 	s.flushWatches()
 
-	nextVar := Var(3)
-	fresh := func() [3]Var {
-		v := nextVar
-		nextVar += 3
-		return [3]Var{v, v + 1, v + 2}
+	// The protected clauses are the least active of all.
+	kept := []cref{
+		mkLearnt(s, 0, PosLit(2), PosLit(3)),
+		mkLearnt(s, 0, NegLit(2), PosLit(4)),
 	}
+	reason := mkLearnt(s, 0, PosLit(5), PosLit(6), PosLit(7))
+	s.newDecisionLevel()
+	s.uncheckedEnqueue(NegLit(6), crefUndef)
+	s.uncheckedEnqueue(NegLit(7), crefUndef)
+	s.uncheckedEnqueue(PosLit(5), reason)
+	kept = append(kept, reason)
 
-	var core, used, mid, local []cref
-	for i := 0; i < 4; i++ {
-		core = append(core, mkLearnt(s, fresh(), tierCoreLBD, 0.1))
-	}
-	for i := 0; i < 4; i++ {
-		c := mkLearnt(s, fresh(), tierMidLBD+3, 0.1)
-		s.ca.markUsed(c)
-		used = append(used, c)
-	}
-	for i := 0; i < 6; i++ {
-		mid = append(mid, mkLearnt(s, fresh(), tierMidLBD, float32(i)))
-	}
-	for i := 0; i < 6; i++ {
-		local = append(local, mkLearnt(s, fresh(), tierMidLBD+5, float32(i)))
+	// Eight candidates over fresh variables, allocated out of activity
+	// order so list position cannot decide which half goes.
+	acts := []float32{5, 1, 7, 3, 8, 2, 6, 4}
+	cands := make([]cref, len(acts))
+	for i, a := range acts {
+		v := Var(8 + 3*i)
+		cands[i] = mkLearnt(s, a, PosLit(v), NegLit(v+1), PosLit(v+2))
 	}
 
 	s.reduceDB()
 
-	for i, c := range core {
+	for i, c := range kept {
 		if s.ca.deleted(c) {
-			t.Errorf("core-tier clause %d (LBD %d) deleted by reduceDB", i, tierCoreLBD)
+			t.Errorf("protected clause %d %v deleted", i, s.ca.lits(c))
 		}
 	}
-	for i, c := range used {
+	for i, c := range cands {
+		if want := acts[i] <= 4; s.ca.deleted(c) != want {
+			t.Errorf("candidate with activity %v: deleted=%v, want %v", acts[i], s.ca.deleted(c), want)
+		}
+	}
+	if s.Stats.Removed != 4 || len(s.learnts) != len(kept)+4 {
+		t.Fatalf("removed %d with %d learnts left, want 4 removed and %d left",
+			s.Stats.Removed, len(s.learnts), len(kept)+4)
+	}
+	for _, c := range s.learnts {
 		if s.ca.deleted(c) {
-			t.Errorf("used local clause %d deleted despite its reprieve", i)
-		}
-		if s.ca.used(c) {
-			t.Errorf("used flag on clause %d not cleared: it would never expire", i)
-		}
-	}
-	// 12 unused candidates, worse half deleted: all 6 local-tier clauses
-	// go first, every mid-tier clause survives this round.
-	for i, c := range local {
-		if !s.ca.deleted(c) {
-			t.Errorf("local-tier clause %d survived while the candidate half-limit covered all locals", i)
-		}
-	}
-	for i, c := range mid {
-		if s.ca.deleted(c) {
-			t.Errorf("mid-tier clause %d deleted before the local tier was exhausted", i)
-		}
-	}
-
-	// The reprieve is one round: with nothing re-marked, a second reduction
-	// must delete the formerly-used local clauses ahead of the mid tier.
-	// 10 candidates remain (4 expired locals + 6 mids), so the worse half
-	// is the locals plus exactly one mid — the lowest-activity one, pinning
-	// the activity tie-break within a tier.
-	s.reduceDB()
-	for i, c := range used {
-		if !s.ca.deleted(c) {
-			t.Errorf("formerly-used local clause %d survived a second reduction without being re-used", i)
-		}
-	}
-	if !s.ca.deleted(mid[0]) {
-		t.Error("lowest-activity mid clause survived round two; activity tie-break broken")
-	}
-	for i, c := range mid[1:] {
-		if s.ca.deleted(c) {
-			t.Errorf("mid-tier clause %d deleted on round two ahead of lower-activity siblings", i+1)
-		}
-	}
-	for i, c := range core {
-		if s.ca.deleted(c) {
-			t.Errorf("core-tier clause %d deleted on round two", i)
+			t.Fatalf("deleted clause %v still on the learnt list", s.ca.lits(c))
 		}
 	}
 }

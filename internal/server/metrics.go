@@ -289,10 +289,6 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	fmt.Fprintln(w, "# TYPE muppetd_solver_chrono_backtracks_total counter")
 	fmt.Fprintf(w, "muppetd_solver_chrono_backtracks_total %d\n", reuse.Encoding.ChronoBacktracks)
 
-	fmt.Fprintln(w, "# HELP muppetd_solver_otf_subsumed_total Conflict clauses deleted by on-the-fly subsumption, across every session built.")
-	fmt.Fprintln(w, "# TYPE muppetd_solver_otf_subsumed_total counter")
-	fmt.Fprintf(w, "muppetd_solver_otf_subsumed_total %d\n", reuse.Encoding.OTFSubsumed)
-
 	fmt.Fprintln(w, "# HELP muppetd_solver_restored_total Variables un-eliminated because an incremental addition touched them, across every session built.")
 	fmt.Fprintln(w, "# TYPE muppetd_solver_restored_total counter")
 	fmt.Fprintf(w, "muppetd_solver_restored_total %d\n", reuse.Encoding.Restored)

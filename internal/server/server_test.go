@@ -94,6 +94,14 @@ func TestParsePorts(t *testing.T) {
 	if _, err := ParsePorts("x"); err == nil {
 		t.Fatal("bad port must error")
 	}
+	for _, bad := range []string{"0", "-7", "70000", "8080,70000"} {
+		if ports, err := ParsePorts(bad); err == nil || !strings.Contains(err.Error(), "bad port") {
+			t.Errorf("ParsePorts(%q) = %v, %v; want a bad port error", bad, ports, err)
+		}
+	}
+	if ports, err := ParsePorts("1,65535"); err != nil || len(ports) != 2 || ports[0] != 1 || ports[1] != 65535 {
+		t.Fatalf("ParsePorts(\"1,65535\") = %v, %v", ports, err)
+	}
 }
 
 func TestExecUsageErrors(t *testing.T) {

@@ -218,7 +218,8 @@ func ParseOffer(s string) (muppet.Offer, error) {
 	return muppet.Offer{}, fmt.Errorf("bad offer mode %q (want fixed|soft|holes)", s)
 }
 
-// ParsePorts parses a comma-separated port list, "" meaning none.
+// ParsePorts parses a comma-separated list of ports in 1–65535, ""
+// meaning none.
 func ParsePorts(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
@@ -226,7 +227,7 @@ func ParsePorts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
+		if err != nil || p <= 0 || p > 65535 {
 			return nil, fmt.Errorf("bad port %q", part)
 		}
 		out = append(out, p)

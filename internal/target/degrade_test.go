@@ -95,20 +95,6 @@ func TestMinimizeRunWideConflictBudget(t *testing.T) {
 	}
 }
 
-func TestMinimizeMaxSolvesRecordsStopReason(t *testing.T) {
-	s, soft := chainProblem(12)
-	res := Minimize(s, soft, Options{MaxSolves: 2})
-	if res.Status != sat.Sat || res.Model == nil {
-		t.Fatalf("MaxSolves run must keep its best model, got %v", res.Status)
-	}
-	if res.Optimal {
-		t.Fatal("two probes cannot prove optimality on this instance")
-	}
-	if res.Stats.Stop != StopMaxSolves {
-		t.Fatalf("stop reason: got %v, want solve budget exhausted", res.Stats.Stop)
-	}
-}
-
 func TestMinimizeUnbudgetedStillOptimal(t *testing.T) {
 	s, soft := chainProblem(9)
 	res := Minimize(s, soft, Options{})

@@ -153,11 +153,16 @@ func gatedPigeons() (*sat.Solver, []sat.Lit) {
 // claim optimality, record the cause, and leave that model as the
 // solver's retained one; no capped probe may have been issued.
 func TestMinimizeStopDuringRelaxation(t *testing.T) {
-	// The first probe alone, for its model and its solver work.
+	// Minimize's first probe is a plain Solve: its model and its solver
+	// work.
 	s0, soft := gatedPigeons()
-	first := Minimize(s0, soft, Options{MaxSolves: 1})
-	if first.Status != sat.Sat || first.Distance != 2 {
-		t.Fatalf("first model: status %v distance %d, want Sat at 2", first.Status, first.Distance)
+	if st := s0.Solve(); st != sat.Sat {
+		t.Fatalf("first model: status %v, want Sat", st)
+	}
+	firstModel := s0.Model()
+	firstDistance := distance(firstModel, soft)
+	if firstDistance != 2 {
+		t.Fatalf("first model at distance %d, want 2", firstDistance)
 	}
 	firstConflicts, firstProps := s0.Stats.Conflicts, s0.Stats.Propagations
 
@@ -166,9 +171,6 @@ func TestMinimizeStopDuringRelaxation(t *testing.T) {
 		want StopReason
 		opts func() (Options, func(Step))
 	}{
-		{"max-solves", StopMaxSolves, func() (Options, func(Step)) {
-			return Options{MaxSolves: 2}, nil
-		}},
 		{"conflicts", StopConflicts, func() (Options, func(Step)) {
 			return Options{Budget: sat.Budget{MaxConflicts: firstConflicts + 1}}, nil
 		}},
@@ -211,9 +213,9 @@ func TestMinimizeStopDuringRelaxation(t *testing.T) {
 					t.Fatalf("%s canonical=%v: status %v optimal %v stop %v, want Sat, not optimal, %v",
 						name, canonical, res.Status, res.Optimal, res.Stats.Stop, c.want)
 				}
-				if res.Distance != first.Distance || !sameBools(res.Model, first.Model) {
+				if res.Distance != firstDistance || !sameBools(res.Model, firstModel) {
 					t.Fatalf("%s canonical=%v: returned distance %d, not the plain first model's %d",
-						name, canonical, res.Distance, first.Distance)
+						name, canonical, res.Distance, firstDistance)
 				}
 				if !sameModel(s, res.Model, len(res.Model)) {
 					t.Fatalf("%s canonical=%v: solver model diverges from result", name, canonical)
@@ -231,8 +233,9 @@ func TestMinimizeStopDuringRelaxation(t *testing.T) {
 // TestAdoptReestablishesNearerModel covers the one relaxation outcome no
 // small instance steers into reliably: the relaxed model is farther than
 // the first. adopt must re-establish a model no farther than the first
-// and leave it as the solver's retained model; when no probe is left it
-// keeps the relaxed model, so the two still agree.
+// and leave it as the solver's retained model; when a budget or
+// cancellation stops that probe it keeps the relaxed model, so the two
+// still agree.
 func TestAdoptReestablishesNearerModel(t *testing.T) {
 	for _, budget := range []bool{true, false} {
 		s := sat.New()
@@ -250,9 +253,12 @@ func TestAdoptReestablishesNearerModel(t *testing.T) {
 		probes := 0
 		probe := func(_ int, assumps ...sat.Lit) sat.Status {
 			probes++
+			if !budget {
+				return sat.Unknown // stopped before it could solve
+			}
 			return s.Solve(assumps...)
 		}
-		done := adopt(s, soft, &r, nil, probe, func() bool { return budget })
+		done := adopt(s, soft, &r, nil, probe)
 		if !sameModel(s, r.Model, len(soft)) || distance(r.Model, soft) != r.Distance {
 			t.Fatalf("budget=%v: result and solver models disagree", budget)
 		}
@@ -260,8 +266,8 @@ func TestAdoptReestablishesNearerModel(t *testing.T) {
 		case budget && (!done || r.Distance > 1 || probes != 1):
 			t.Fatalf("budget=%v: done %v distance %d after %d probes, want done at ≤1 after 1",
 				budget, done, r.Distance, probes)
-		case !budget && (done || r.Distance != 4 || probes != 0):
-			t.Fatalf("budget=%v: done %v distance %d after %d probes, want stopped at 4 after 0",
+		case !budget && (done || r.Distance != 4 || probes != 1):
+			t.Fatalf("budget=%v: done %v distance %d after %d probes, want stopped at 4 after 1",
 				budget, done, r.Distance, probes)
 		}
 	}

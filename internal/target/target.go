@@ -46,8 +46,6 @@ const (
 	StopConflicts
 	// StopPropagations: the run's propagation budget was exhausted.
 	StopPropagations
-	// StopMaxSolves: Options.MaxSolves probes were issued.
-	StopMaxSolves
 )
 
 func (r StopReason) String() string {
@@ -60,8 +58,6 @@ func (r StopReason) String() string {
 		return "conflict budget exhausted"
 	case StopPropagations:
 		return "propagation budget exhausted"
-	case StopMaxSolves:
-		return "solve budget exhausted"
 	default:
 		return "none"
 	}
@@ -157,16 +153,12 @@ type Options struct {
 	// Strategy selects the bound search schedule; StrategyAuto follows
 	// the package default.
 	Strategy Strategy
-	// MaxSolves, when positive, bounds the total number of Solve calls.
-	// On exhaustion Minimize degrades gracefully: it returns the best
-	// model found so far with Optimal == false instead of hanging.
-	MaxSolves int
 	// Context, when non-nil, cancels the run between and during probes.
 	Context context.Context
 	// Budget bounds the whole run's solver work (the conflict and
 	// propagation caps are shared across probes, not per probe). On
-	// exhaustion Minimize degrades like MaxSolves: best model so far,
-	// Optimal == false, the cause recorded in Stats.Stop.
+	// exhaustion Minimize degrades gracefully: it returns the best model
+	// so far with Optimal == false, the cause recorded in Stats.Stop.
 	Budget sat.Budget
 	// Assumptions are threaded into every solver probe, so Minimize can
 	// run against a retractable constraint set (selector-guarded groups)
@@ -341,23 +333,12 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 		}
 		return status
 	}
-	budgetLeft := func() bool {
-		if opts.MaxSolves > 0 && r.Stats.Solves >= opts.MaxSolves {
-			r.Stats.Stop = StopMaxSolves
-			return false
-		}
-		return true
-	}
 	finish := func() Result {
 		r.Stats.Conflicts = s.Stats.Conflicts - startConflicts
 		return r
 	}
 
 	// First model: unbounded solve against the hard clauses alone.
-	if !budgetLeft() {
-		r.Status = sat.Unknown
-		return finish()
-	}
 	if st0 := probe(-1); st0 != sat.Sat {
 		r.Status = st0
 		return finish()
@@ -395,7 +376,7 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 	lb := 0
 	if !enc.covers(truncation(r.Distance)) {
 		var done bool
-		if lb, done = relax(s, soft, &r, probe, budgetLeft); !done {
+		if lb, done = relax(s, soft, &r, probe); !done {
 			return finish() // stopped: Optimal stays false (see relax)
 		}
 		if r.Distance == 0 || (lb == r.Distance && !canonical) {
@@ -415,12 +396,12 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 	// the tightened distance minimal they issue no probe.
 	switch st {
 	case StrategyBinary:
-		binarySearch(s, soft, tot, &r, lb, probe, budgetLeft)
+		binarySearch(s, soft, tot, &r, lb, probe)
 	default:
-		linearDescent(s, soft, tot, &r, lb, probe, budgetLeft, opts.Retractable)
+		linearDescent(s, soft, tot, &r, lb, probe, opts.Retractable)
 	}
 	if canonical && r.Status == sat.Sat && r.Optimal && r.Distance > 0 {
-		canonicalize(s, soft, tot, &r, probe, budgetLeft)
+		canonicalize(s, soft, tot, &r, probe)
 	}
 	return finish()
 }
@@ -440,18 +421,15 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 // literals the first model satisfies, finds a model no farther than the
 // first. Either way the solver's retained model ends equal to r.Model,
 // since UNSAT and stopped probes leave it untouched. done is false when a
-// budget, MaxSolves or cancellation stopped a probe; r is then the plain
+// budget or cancellation stopped a probe; r is then the plain
 // first model — except when the stop hit that extra probe, where r takes
 // the retained relaxation model so the two still agree.
 func relax(s *sat.Solver, soft []sat.Lit, r *Result,
-	probe func(int, ...sat.Lit) sat.Status, budgetLeft func() bool) (lb int, done bool) {
+	probe func(int, ...sat.Lit) sat.Status) (lb int, done bool) {
 	relaxed := make([]bool, len(soft))
 	assumps := make([]sat.Lit, 0, len(soft))
 	inCore := make(map[sat.Lit]bool)
 	for {
-		if !budgetLeft() {
-			return lb, false
-		}
 		assumps = assumps[:0]
 		for i, l := range soft {
 			if !relaxed[i] {
@@ -460,7 +438,7 @@ func relax(s *sat.Solver, soft []sat.Lit, r *Result,
 		}
 		switch probe(-1, assumps...) {
 		case sat.Sat:
-			return lb, adopt(s, soft, r, assumps, probe, budgetLeft)
+			return lb, adopt(s, soft, r, assumps, probe)
 		case sat.Unsat:
 		default:
 			return lb, false
@@ -490,27 +468,25 @@ func relax(s *sat.Solver, soft []sat.Lit, r *Result,
 // no farther than r's, and otherwise re-establishes a model at most as far
 // as r's (see relax). scratch is reused for the extra probe's assumptions.
 func adopt(s *sat.Solver, soft []sat.Lit, r *Result, scratch []sat.Lit,
-	probe func(int, ...sat.Lit) sat.Status, budgetLeft func() bool) (done bool) {
+	probe func(int, ...sat.Lit) sat.Status) (done bool) {
 	m := s.Model()
 	d := distance(m, soft)
 	if d <= r.Distance {
 		r.Model, r.Distance = m, d
 		return true
 	}
-	if budgetLeft() {
-		kept := scratch[:0]
-		for _, l := range soft {
-			if r.Model[l.Var()] != l.Neg() {
-				kept = append(kept, l)
-			}
+	kept := scratch[:0]
+	for _, l := range soft {
+		if r.Model[l.Var()] != l.Neg() {
+			kept = append(kept, l)
 		}
-		// r.Model witnesses these assumptions, so the probe is SAT unless
-		// stopped.
-		if probe(-1, kept...) == sat.Sat {
-			r.Model = s.Model()
-			r.Distance = distance(r.Model, soft)
-			return true
-		}
+	}
+	// r.Model witnesses these assumptions, so the probe is SAT unless
+	// stopped.
+	if probe(-1, kept...) == sat.Sat {
+		r.Model = s.Model()
+		r.Distance = distance(r.Model, soft)
+		return true
 	}
 	r.Model, r.Distance = m, d
 	return false
@@ -526,7 +502,7 @@ func adopt(s *sat.Solver, soft []sat.Lit, r *Result, scratch []sat.Lit,
 // probes. No final re-solve is needed: Unsat probes leave the solver's
 // retained model untouched, so it always equals the adopted model.
 func canonicalize(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result,
-	probe func(int, ...sat.Lit) sat.Status, budgetLeft func() bool) {
+	probe func(int, ...sat.Lit) sat.Status) {
 	pins := make([]sat.Lit, 0, len(soft)+1)
 	if capLit, ok := tot.atMostLit(r.Distance); ok {
 		pins = append(pins, capLit)
@@ -544,9 +520,6 @@ scan:
 			// model, pin for free.
 			pins = append(pins, l)
 			continue
-		}
-		if !budgetLeft() {
-			break
 		}
 		// Full-capacity slice so later appends to pins cannot alias.
 		switch probe(r.Distance, append(pins[:len(pins):len(pins)], l)...) {
@@ -572,11 +545,8 @@ scan:
 // default (learnt clauses compound across probes), or an assumption
 // literal in retractable mode (the session stays clean).
 func linearDescent(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result, lb int,
-	probe func(int, ...sat.Lit) sat.Status, budgetLeft func() bool, retractable bool) {
+	probe func(int, ...sat.Lit) sat.Status, retractable bool) {
 	for r.Distance > lb {
-		if !budgetLeft() {
-			return // best-so-far, Optimal stays false
-		}
 		var caps []sat.Lit
 		if retractable {
 			capLit, ok := tot.atMostLit(r.Distance - 1)
@@ -615,16 +585,13 @@ func linearDescent(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result, lb 
 // than asserting it, so an UNSAT probe leaves the clause set
 // unconstrained for the next (higher) midpoint.
 func binarySearch(s *sat.Solver, soft []sat.Lit, tot *totalizer, r *Result, lo int,
-	probe func(int, ...sat.Lit) sat.Status, budgetLeft func() bool) {
+	probe func(int, ...sat.Lit) sat.Status) {
 	for lo < r.Distance {
 		mid := lo + (r.Distance-lo)/2 // mid < r.Distance: probe is a strict improvement
 		capLit, ok := tot.atMostLit(mid)
 		if !ok {
 			// mid is beyond the truncated range; cannot happen since the
 			// encoder covers [0, tightened distance), but fail safe.
-			return
-		}
-		if !budgetLeft() {
 			return
 		}
 		switch probe(mid, capLit) {

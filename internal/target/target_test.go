@@ -264,27 +264,6 @@ func TestMinimizeGroupedInstance(t *testing.T) {
 	}
 }
 
-// TestMinimizeMaxSolvesDegradesGracefully: an exhausted budget returns
-// the best model found so far rather than hanging or failing.
-func TestMinimizeMaxSolvesDegradesGracefully(t *testing.T) {
-	for _, st := range []Strategy{StrategyLinear, StrategyBinary} {
-		s, soft := groupedInstance(24)
-		res := Minimize(s, soft, Options{Strategy: st, MaxSolves: 2})
-		if res.Status != sat.Sat {
-			t.Fatalf("%v: want Sat, got %v", st, res.Status)
-		}
-		if res.Stats.Solves > 2 {
-			t.Fatalf("%v: budget 2 exceeded: %d solves", st, res.Stats.Solves)
-		}
-		if res.Distance < 18 {
-			t.Fatalf("%v: distance %d below the true minimum", st, res.Distance)
-		}
-		if res.Optimal && res.Distance != 18 {
-			t.Fatalf("%v: claimed optimality at %d", st, res.Distance)
-		}
-	}
-}
-
 func TestMinimizeOnStepAndStats(t *testing.T) {
 	for _, st := range []Strategy{StrategyLinear, StrategyBinary} {
 		s, soft := groupedInstance(8)

@@ -148,7 +148,6 @@ const (
 	StopDeadline     = target.StopDeadline
 	StopConflicts    = target.StopConflicts
 	StopPropagations = target.StopPropagations
-	StopMaxSolves    = target.StopMaxSolves
 )
 
 // Incremental reuse. A SolveCache keeps live solving sessions across
