@@ -381,7 +381,6 @@ func reportReuse(b *testing.B, st muppet.ReuseStats) {
 	b.ReportMetric(float64(st.Encoding.VarsEliminated), "vars-eliminated")
 	b.ReportMetric(float64(st.Encoding.ClausesRemoved), "clauses-removed")
 	b.ReportMetric(float64(st.Encoding.ArenaBytes), "arena-bytes")
-	b.ReportMetric(float64(st.Encoding.ChronoBacktracks), "chrono-backtracks")
 }
 
 // BenchmarkAlg2ReconcileWarm is Alg. 2 on the walkthrough served from a

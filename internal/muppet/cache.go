@@ -66,9 +66,9 @@ type ReuseStats struct {
 // EncodingStats sizes the encoding pipeline: how big the circuits and
 // clause databases are, and how much the preprocessing layers took off.
 // CircuitNodes, SolverVars, SolverClauses, LearntClauses, VarsEliminated
-// and ArenaBytes are gauges of live sessions; ClausesRemoved, Restored
-// and ChronoBacktracks are cumulative counters, which a SolveCache keeps
-// for the sessions it evicts.
+// and ArenaBytes are gauges of live sessions; ClausesRemoved and Restored
+// are cumulative counters, which a SolveCache keeps for the sessions it
+// evicts.
 type EncodingStats struct {
 	// CircuitNodes is the total number of AIG nodes allocated.
 	CircuitNodes int64
@@ -89,9 +89,6 @@ type EncodingStats struct {
 	// ArenaBytes is the exact backing size of the flat clause arenas —
 	// the measured counterpart of the ApproxBytes estimate.
 	ArenaBytes int64
-	// ChronoBacktracks accumulates, across each session's lifetime, the
-	// chronological backtracks taken instead of long backjumps.
-	ChronoBacktracks int64
 }
 
 // Approximate per-object sizes of the live solving structures, in bytes.
@@ -120,15 +117,13 @@ func (e *EncodingStats) add(t EncodingStats) {
 	e.ClausesRemoved += t.ClausesRemoved
 	e.Restored += t.Restored
 	e.ArenaBytes += t.ArenaBytes
-	e.ChronoBacktracks += t.ChronoBacktracks
 }
 
 // counters returns e's cumulative counters alone, its gauges zeroed.
 func (e EncodingStats) counters() EncodingStats {
 	return EncodingStats{
-		ClausesRemoved:   e.ClausesRemoved,
-		Restored:         e.Restored,
-		ChronoBacktracks: e.ChronoBacktracks,
+		ClausesRemoved: e.ClausesRemoved,
+		Restored:       e.Restored,
 	}
 }
 
@@ -143,9 +138,7 @@ func sessionEncodingStats(ss *relational.Session) EncodingStats {
 		VarsEliminated: s.Stats.SimpVarsEliminated,
 		ClausesRemoved: s.Stats.SimpClausesRemoved,
 		Restored:       s.Stats.SimpRestored,
-
-		ArenaBytes:       s.ArenaBytes(),
-		ChronoBacktracks: s.Stats.ChronoBacktracks,
+		ArenaBytes:     s.ArenaBytes(),
 	}
 }
 

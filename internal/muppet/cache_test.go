@@ -248,11 +248,10 @@ func TestSolveCacheStatsSurviveEviction(t *testing.T) {
 	if before.Translation.Misses == 0 || before.Translation.StructHits == 0 {
 		t.Fatalf("test setup: want misses and structural hits, got %+v", before.Translation)
 	}
-	counters := func(st ReuseStats) [5]int64 {
-		return [5]int64{
+	counters := func(st ReuseStats) [4]int64 {
+		return [4]int64{
 			st.Translation.StructHits, st.Translation.Misses,
 			st.Encoding.ClausesRemoved, st.Encoding.Restored,
-			st.Encoding.ChronoBacktracks,
 		}
 	}
 	for cache.Len() > 0 {

@@ -58,8 +58,8 @@ func TestMinimizeCounterStaysSmall(t *testing.T) {
 		t.Fatalf("minimisation: status %v optimal %v", res.Status, res.Optimal)
 	}
 	added := s.NumClauses() - problem
-	t.Logf("%d soft knobs, distance %d, %d solves: problem %d clauses, minimisation added %d, %d preprocessing runs",
-		len(ws.softLits), res.Distance, res.Stats.Solves, problem, added, s.Stats.SimpRuns)
+	t.Logf("%d soft knobs, distance %d, %d solves: problem %d clauses, minimisation added %d, %d preprocessing runs, %d conflicts, %d learnt clauses",
+		len(ws.softLits), res.Distance, res.Stats.Solves, problem, added, s.Stats.SimpRuns, s.Stats.Conflicts, s.NumLearnts())
 	if added > 5*problem {
 		t.Fatalf("minimisation added %d clauses to a %d-clause problem (%.1f×, bound 5×)",
 			added, problem, float64(added)/float64(problem))
@@ -73,6 +73,12 @@ func TestMinimizeCounterStaysSmall(t *testing.T) {
 	if added != 20615 || res.Stats.Solves != 12 {
 		t.Fatalf("minimisation added %d clauses in %d solves, want exactly 20615 in 12",
 			added, res.Stats.Solves)
+	}
+	// The search is pinned too, so a policy change that inflates the
+	// conflicts of a descent shows up here even when the answer holds.
+	if s.Stats.Conflicts != 44 || s.NumLearnts() != 44 {
+		t.Fatalf("the reconcile ran %d conflicts and kept %d learnt clauses, want exactly 44 and 44",
+			s.Stats.Conflicts, s.NumLearnts())
 	}
 }
 

@@ -85,36 +85,68 @@ func decodeCNF(data []byte) (int, [][]Lit) {
 }
 
 // FuzzDifferentialCDCL cross-checks the full arena CDCL core — learning,
-// chronological backtracking, restarts, reduceDB with arena GC,
-// preprocessing — against the chronological-backtracking DPLL reference
+// restarts, reduceDB with arena GC, preprocessing, assumptions and
+// failed-assumption cores — against the learning-free DPLL reference
 // (DisableLearning), which shares only the propagation engine. The
 // session is incremental: both solvers solve the clauses before split,
 // freeze the variables set in the freeze mask (which restores any that
 // preprocessing eliminated), take the remaining clauses (which restores
-// any eliminated variable they name) and solve again. Both verdicts must
-// agree, and every SAT model must satisfy the clauses added so far.
+// any eliminated variable they name) and solve again. Each solve runs
+// under the assumptions in assume: variable v is assumed when bit v is
+// set, negated when bit 16+v is set too. Both verdicts must agree, every
+// SAT model must satisfy the clauses added so far and the assumptions,
+// and every UNSAT core must be a subset of the assumptions that the
+// reference finds UNSAT on its own.
 func FuzzDifferentialCDCL(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0, 3, 4, 0}, uint8(1), uint16(0))
-	f.Add([]byte{5, 1, 0, 9, 0, 1, 9, 0, 2, 10, 0, 2, 0}, uint8(2), uint16(0x3))
-	f.Add([]byte{7, 1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 0, 10, 11, 12, 0}, uint8(3), uint16(0x2a))
-	f.Add([]byte{3, 1, 0, 4, 0, 2, 0, 5, 0, 3, 0, 6, 0}, uint8(0), uint16(0x3ff))
-	f.Fuzz(func(t *testing.T, data []byte, split uint8, freeze uint16) {
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 0}, uint8(1), uint16(0), uint32(0))
+	f.Add([]byte{5, 1, 0, 9, 0, 1, 9, 0, 2, 10, 0, 2, 0}, uint8(2), uint16(0x3), uint32(0x1_0003))
+	f.Add([]byte{7, 1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 0, 10, 11, 12, 0}, uint8(3), uint16(0x2a), uint32(0x15_001f))
+	f.Add([]byte{3, 1, 0, 4, 0, 2, 0, 5, 0, 3, 0, 6, 0}, uint8(0), uint16(0x3ff), uint32(0x2_0006))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8, freeze uint16, assume uint32) {
 		nVars, clauses := decodeCNF(data)
 		if nVars == 0 {
 			return
+		}
+		var assumps []Lit
+		for v := 0; v < nVars; v++ {
+			if assume>>v&1 == 1 {
+				assumps = append(assumps, MkLit(Var(v), assume>>(16+v)&1 == 1))
+			}
 		}
 		first := clauses[:int(split)%(len(clauses)+1)]
 		full := newSolverWith(nVars, first, aggressiveOpts())
 		ref := newSolverWith(nVars, first, Options{DisableLearning: true})
 		check := func(phase string, added [][]Lit) {
-			got, want := full.Solve(), ref.Solve()
+			got, want := full.Solve(assumps...), ref.Solve(assumps...)
 			if got != want {
-				t.Fatalf("%s: verdict mismatch: arena CDCL %v, DPLL reference %v (nVars=%d clauses=%v)",
-					phase, got, want, nVars, added)
+				t.Fatalf("%s: verdict mismatch: arena CDCL %v, DPLL reference %v (nVars=%d clauses=%v assumptions=%v)",
+					phase, got, want, nVars, added, assumps)
 			}
-			if got == Sat && !modelSatisfies(full.Model(), added) {
-				t.Fatalf("%s: arena CDCL model does not satisfy the input (nVars=%d clauses=%v)",
-					phase, nVars, added)
+			switch got {
+			case Sat:
+				m := full.Model()
+				if !modelSatisfies(m, added) {
+					t.Fatalf("%s: arena CDCL model does not satisfy the input (nVars=%d clauses=%v)",
+						phase, nVars, added)
+				}
+				for _, a := range assumps {
+					if m[a.Var()] == a.Neg() {
+						t.Fatalf("%s: arena CDCL model violates assumption %v (nVars=%d clauses=%v assumptions=%v)",
+							phase, a, nVars, added, assumps)
+					}
+				}
+			case Unsat:
+				core := full.Core()
+				for _, l := range core {
+					if !slices.Contains(assumps, l) {
+						t.Fatalf("%s: core %v names %v, which is not assumed (assumptions=%v)",
+							phase, core, l, assumps)
+					}
+				}
+				if st := ref.Solve(core...); st != Unsat {
+					t.Fatalf("%s: core %v re-solves %v on the reference, want UNSAT (nVars=%d clauses=%v)",
+						phase, core, st, nVars, added)
+				}
 			}
 		}
 		check("first batch", first)

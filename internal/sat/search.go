@@ -192,15 +192,6 @@ func luby(base int64, i int64) int64 {
 	return base << (k - 1)
 }
 
-// chronoThreshold is the backjump length past which the solver backtracks
-// chronologically (one level) instead: a conflict whose assertion level is
-// hundreds of levels down usually reconstructs most of the discarded trail
-// verbatim, so keeping it and asserting the learnt literal in place is
-// cheaper (Nadel & Ryvchin, SAT'18). Soundness: at any level ≥ the
-// assertion level every non-asserting literal of the learnt clause is
-// still false, so the clause is unit there too.
-const chronoThreshold = 100
-
 // search runs CDCL until a model, a restart or budget exhaustion, a
 // cancellation, or an assumption failure. nConflicts bounds this restart's
 // conflicts. Budget/cancellation stops set s.stopReason, which
@@ -249,22 +240,12 @@ func (s *Solver) search(nConflicts int64) Status {
 				continue
 			}
 			learnt, btLevel := s.analyze(confl)
-			// Chrono never applies to unit learnts: a unit is a global fact
-			// that must live at level 0 — asserted higher it would be a
-			// reason-less non-decision literal, which analyze/analyzeFinal
-			// (rightly) treat as impossible.
-			if !s.opts.DisableChrono && len(learnt) > 1 &&
-				s.decisionLevel()-btLevel > chronoThreshold {
-				btLevel = s.decisionLevel() - 1
-				s.Stats.ChronoBacktracks++
-			}
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
 				c := s.ca.alloc(learnt, true)
 				s.learnts = append(s.learnts, c)
-				s.Stats.Learnt++
 				s.attach(c)
 				s.claBump(c)
 				s.uncheckedEnqueue(s.ca.lits(c)[0], c)
@@ -275,7 +256,7 @@ func (s *Solver) search(nConflicts int64) Status {
 		}
 
 		if conflicts >= nConflicts {
-			s.cancelUntil(s.assumptionLevel())
+			s.cancelUntil(0)
 			return Unknown // restart
 		}
 		if !s.opts.DisableLearning && float64(len(s.learnts)) >= s.maxLearnts {
@@ -302,17 +283,11 @@ func (s *Solver) search(nConflicts int64) Status {
 			if next == LitUndef {
 				return Sat // all variables assigned
 			}
-			s.Stats.Decisions++
 		}
 		s.newDecisionLevel()
 		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
-
-// assumptionLevel is the decision level up to which assumptions are pinned;
-// restarts must not undo assumption decisions blindly (we conservatively
-// restart to level 0 and re-apply, which is simplest and correct).
-func (s *Solver) assumptionLevel() int32 { return 0 }
 
 // Solve determines satisfiability of the clause set under the given
 // assumption literals. On Sat, Model/Value expose the assignment; on Unsat,

@@ -201,8 +201,6 @@ func (s *Solver) runSimplify() {
 	res := p.Run(in, func() bool { return s.stopNow() != StopNone })
 	s.Stats.SimpRuns++
 	s.Stats.SimpVarsEliminated = p.Stats.VarsEliminated
-	s.Stats.SimpClausesSubsumed = p.Stats.ClausesSubsumed
-	s.Stats.SimpLitsStrengthened = p.Stats.LitsStrengthened
 	s.Stats.SimpClausesRemoved += p.Stats.ClausesIn - p.Stats.ClausesOut
 	if res.Unsat {
 		s.unsatLevel0 = true

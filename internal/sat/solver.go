@@ -33,8 +33,8 @@ func (s Status) String() string {
 
 // Options tune solver behaviour. The zero value is the configuration every
 // production caller runs, apart from the preprocessing fields the muppet
-// workspaces set; the other switches exist for the ablation benchmarks
-// and the package's differential tests.
+// workspaces set; DisableLearning exists for the ablation benchmark and
+// the package's differential tests.
 type Options struct {
 	// DisableLearning turns the solver into chronological-backtracking DPLL:
 	// conflicts still backtrack, but no learnt clauses are retained. Used
@@ -55,14 +55,6 @@ type Options struct {
 	// (simpDefaultMinClauses); negative means no floor. One-shot muppet
 	// workspaces and the encoding benchmarks set -1.
 	SimpMinClauses int
-	// DisableChrono turns off chronological backtracking: every conflict
-	// backjumps all the way to the learnt clause's assertion level, even
-	// when that discards hundreds of levels of still-useful trail. With
-	// chrono on (the default), backjumps longer than chronoThreshold
-	// levels backtrack a single level instead and assert the learnt
-	// literal there, preserving the trail prefix. Only tests set it; it
-	// is the off switch for a chrono A/B.
-	DisableChrono bool
 
 	// restartBase, when positive, replaces the default Luby restart unit
 	// (100 conflicts), and learntCap, when positive, pins the learnt-clause
@@ -151,27 +143,21 @@ type Solver struct {
 
 // Stats reports solver work counters.
 type Stats struct {
-	Decisions    int64
 	Propagations int64
 	Conflicts    int64
 	Restarts     int64
-	Learnt       int64
 	Removed      int64
 
 	// Preprocessing counters (see simplify.go). SimpVarsEliminated is the
 	// current number of eliminated variables (net of restores); the others
 	// accumulate across runs.
-	SimpRuns             int64
-	SimpVarsEliminated   int64
-	SimpClausesSubsumed  int64
-	SimpLitsStrengthened int64
-	SimpClausesRemoved   int64
-	SimpRestored         int64
+	SimpRuns           int64
+	SimpVarsEliminated int64
+	SimpClausesRemoved int64
+	SimpRestored       int64
 
-	// Search-core counters: chronological backtracks taken instead of long
-	// backjumps, and arena compactions.
-	ChronoBacktracks int64
-	ArenaGCs         int64
+	// ArenaGCs counts arena compactions.
+	ArenaGCs int64
 }
 
 // New creates an empty solver with default options.
@@ -247,10 +233,10 @@ func (s *Solver) Core() []Lit {
 }
 
 // SetPhases seeds the saved-phase array from a model prefix: the next
-// search tries each covered variable at its model value first. Combined
-// with chronological backtracking this is what lets the totalizer bound
-// descent re-descend from the previous near-optimal assignment instead
-// of replaying the search from the root (see internal/target).
+// search tries each covered variable at its model value first. The
+// totalizer bound descent (internal/target) seeds each probe from the
+// best model so far, so search re-descends from that near-optimal
+// assignment instead of replaying the search from the root.
 func (s *Solver) SetPhases(model []bool) {
 	n := len(model)
 	if n > len(s.polarity) {

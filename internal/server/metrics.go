@@ -285,10 +285,6 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	fmt.Fprintln(w, "# TYPE muppetd_solver_arena_bytes gauge")
 	fmt.Fprintf(w, "muppetd_solver_arena_bytes %d\n", reuse.Encoding.ArenaBytes)
 
-	fmt.Fprintln(w, "# HELP muppetd_solver_chrono_backtracks_total Chronological backtracks taken instead of long backjumps, across every session built.")
-	fmt.Fprintln(w, "# TYPE muppetd_solver_chrono_backtracks_total counter")
-	fmt.Fprintf(w, "muppetd_solver_chrono_backtracks_total %d\n", reuse.Encoding.ChronoBacktracks)
-
 	fmt.Fprintln(w, "# HELP muppetd_solver_restored_total Variables un-eliminated because an incremental addition touched them, across every session built.")
 	fmt.Fprintln(w, "# TYPE muppetd_solver_restored_total counter")
 	fmt.Fprintf(w, "muppetd_solver_restored_total %d\n", reuse.Encoding.Restored)

@@ -497,7 +497,6 @@ var sessionCounters = []string{
 	`muppetd_translation_cache_total{kind="struct_hit"}`,
 	`muppetd_translation_cache_total{kind="miss"}`,
 	"muppetd_encoding_clauses_removed_total",
-	"muppetd_solver_chrono_backtracks_total",
 	"muppetd_solver_restored_total",
 }
 

@@ -211,9 +211,7 @@ type Step struct {
 
 // Stats records the work one Minimize run performed.
 type Stats struct {
-	Solves    int   // SAT probes issued
-	Conflicts int64 // solver conflicts attributable to this run
-	Bounds    []int // bound trajectory, one entry per probe (-1 uncapped)
+	Solves int // SAT probes issued
 	// Stop records why the run gave up before proving optimality
 	// (StopNone when it ran to completion). When Result.Status is Sat and
 	// Stop is not StopNone, Result.Model is the best model found before
@@ -323,7 +321,6 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 			r.Stats.Stop = FromSat(s.StopReason())
 		}
 		r.Stats.Solves++
-		r.Stats.Bounds = append(r.Stats.Bounds, bound)
 		step := Step{Solve: r.Stats.Solves, Bound: bound, Status: status}
 		if status == sat.Sat {
 			step.Distance = distance(s.Model(), soft)
@@ -333,15 +330,11 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 		}
 		return status
 	}
-	finish := func() Result {
-		r.Stats.Conflicts = s.Stats.Conflicts - startConflicts
-		return r
-	}
 
 	// First model: unbounded solve against the hard clauses alone.
 	if st0 := probe(-1); st0 != sat.Sat {
 		r.Status = st0
-		return finish()
+		return r
 	}
 	r.Status = sat.Sat
 	r.Model = s.Model()
@@ -349,7 +342,7 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 	if r.Distance == 0 {
 		// Already on target; no encoding or search needed.
 		r.Optimal = true
-		return finish()
+		return r
 	}
 
 	retractable := opts.Retractable || st == StrategyBinary
@@ -377,12 +370,12 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 	if !enc.covers(truncation(r.Distance)) {
 		var done bool
 		if lb, done = relax(s, soft, &r, probe); !done {
-			return finish() // stopped: Optimal stays false (see relax)
+			return r // stopped: Optimal stays false (see relax)
 		}
 		if r.Distance == 0 || (lb == r.Distance && !canonical) {
 			// Nothing left to search, and no canonical pass needs a cap.
 			r.Optimal = true
-			return finish()
+			return r
 		}
 	}
 	var tot *totalizer
@@ -403,7 +396,7 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 	if canonical && r.Status == sat.Sat && r.Optimal && r.Distance > 0 {
 		canonicalize(s, soft, tot, &r, probe)
 	}
-	return finish()
+	return r
 }
 
 // relax tightens the first model before a counter is sized to it. Each

@@ -277,11 +277,8 @@ func TestMinimizeOnStepAndStats(t *testing.T) {
 		if len(steps) != res.Stats.Solves {
 			t.Fatalf("%v: OnStep fired %d times for %d solves", st, len(steps), res.Stats.Solves)
 		}
-		if len(res.Stats.Bounds) != res.Stats.Solves {
-			t.Fatalf("%v: bound trajectory length %d != %d solves", st, len(res.Stats.Bounds), res.Stats.Solves)
-		}
-		if res.Stats.Bounds[0] != -1 {
-			t.Fatalf("%v: first probe must be unbounded, got %d", st, res.Stats.Bounds[0])
+		if steps[0].Bound != -1 {
+			t.Fatalf("%v: first probe must be unbounded, got %d", st, steps[0].Bound)
 		}
 		for i, step := range steps {
 			if step.Solve != i+1 {
