@@ -1,7 +1,7 @@
 # Tier-1 verification in one command: `make check`.
 GO ?= go
 
-.PHONY: check build vet test race fmt bench-module examples bench bench-smoke smoke
+.PHONY: check build vet test race fmt bench-module examples bench bench-smoke smoke fuzz
 
 check: fmt build vet test race bench-module examples
 
@@ -47,6 +47,16 @@ bench:
 # bench-smoke runs each benchmark once: enough to keep them from rotting.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# fuzz runs every fuzz target for a few seconds each (CI's fuzz smoke).
+# -fuzz accepts one target in one package per run, hence one line each.
+fuzz:
+	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/yamllite/
+	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/goals/
+	$(GO) test -fuzz=FuzzDifferentialCDCL -fuzztime=30s ./internal/sat/
+	$(GO) test -fuzz=FuzzMinimize -fuzztime=10s ./internal/target/
+	$(GO) test -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/feder/
+	$(GO) test -fuzz=FuzzTranslationMatchesEvaluator -fuzztime=10s ./internal/relational/
 
 # smoke boots a real muppetd over the Fig. 1 testdata, probes /healthz,
 # runs one check, and asserts a clean SIGTERM drain.

@@ -343,7 +343,13 @@ func checkWithin25(t *testing.T, what string, got, want float64) {
 
 // TestEncodingShrinks pins the headline claim: on a mid-size scenario the
 // full pipeline's post-preprocessing clause count is at least 30% below
-// the legacy (seed) encoding's.
+// the legacy (seed) encoding's. It counts the encoding before
+// minimisation: every knob is a hole, free and without a preference, so
+// the reconcile issues no minimisation probe and its session holds
+// exactly the clauses an all-soft reconcile of the same goals minimises
+// over. The distance counter that minimisation adds depends on the first
+// model each encoding's search finds; TestMinimizeCounterStaysSmall
+// (internal/muppet) bounds it.
 func TestEncodingShrinks(t *testing.T) {
 	sc := muppet.GenerateScenario(muppet.ScenarioParams{
 		Services: 12, PortsPerService: 2, Flows: 12, BannedPorts: 2, Seed: 42,
@@ -355,17 +361,18 @@ func TestEncodingShrinks(t *testing.T) {
 	measure := func(enc muppet.Encoding) muppet.EncodingStats {
 		var st muppet.EncodingStats
 		withEncoding(enc, func() {
-			k8sParty, _, err := muppet.NewK8sParty(sys, sc.K8sCurrent, muppet.AllSoft(), sc.K8sGoals)
+			k8sParty, _, err := muppet.NewK8sParty(sys, sc.K8sCurrent, muppet.AllHoles(), sc.K8sGoals)
 			if err != nil {
 				t.Fatal(err)
 			}
-			istioParty, _, err := muppet.NewIstioParty(sys, sc.IstioCurrent, muppet.AllSoft(), sc.IstioRelaxed)
+			istioParty, _, err := muppet.NewIstioParty(sys, sc.IstioCurrent, muppet.AllHoles(), sc.IstioRelaxed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cache := muppet.NewSolveCache()
-			if res := cache.ReconcileCtx(context.Background(), sys, []*muppet.Party{k8sParty, istioParty}, muppet.Budget{}); !res.OK {
-				t.Fatal("must reconcile")
+			res := cache.ReconcileCtx(context.Background(), sys, []*muppet.Party{k8sParty, istioParty}, muppet.Budget{})
+			if !res.OK || len(res.Edits) != 0 {
+				t.Fatalf("must reconcile without edits: ok %v, %d edits", res.OK, len(res.Edits))
 			}
 			st = cache.Stats().Encoding
 		})
@@ -385,8 +392,8 @@ func TestEncodingShrinks(t *testing.T) {
 	}
 	// The seed fixes the scenario, so the sizes are exact: a change that
 	// moves them updates this pin and says why.
-	if full.SolverClauses != 25098 || legacy.SolverClauses != 84763 {
-		t.Fatalf("full %d, legacy %d clauses, want exactly 25098 and 84763",
+	if full.SolverClauses != 4406 || legacy.SolverClauses != 9126 {
+		t.Fatalf("full %d, legacy %d clauses, want exactly 4406 and 9126",
 			full.SolverClauses, legacy.SolverClauses)
 	}
 }

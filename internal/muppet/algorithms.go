@@ -63,11 +63,14 @@ type Result struct {
 }
 
 // run executes the shared solve → minimize pipeline of the completion
-// workflows (Algs. 1–2, Fig. 8), degrading faithfully: an Unknown from
-// either phase yields an indeterminate result rather than a fabricated
-// unsat core or bogus edit blame. One-shot workspaces harden their
-// assumptions into clauses before minimising; reusable ones keep them as
-// assumptions so the session stays incrementally reusable.
+// workflows (Algs. 1–2, Fig. 8), degrading faithfully: an Unknown solve
+// yields an indeterminate result rather than a fabricated unsat core or
+// bogus edit blame. Minimisation starts from the solve's model, so a Sat
+// solve always yields an OK result; a budget that runs out during
+// minimisation leaves the best edits found so far, with Stop set.
+// One-shot workspaces harden their assumptions into clauses before
+// minimising; reusable ones keep them as assumptions so the session
+// stays incrementally reusable.
 func (ws *workspace) run(ctx context.Context, b sat.Budget) *Result {
 	switch ws.solve(ctx, b) {
 	case sat.Sat:
@@ -80,17 +83,7 @@ func (ws *workspace) run(ctx context.Context, b sat.Budget) *Result {
 		ws.harden()
 	}
 	res := ws.minimize(ctx, b)
-	switch res.Status {
-	case sat.Sat:
-		return &Result{OK: true, Instance: ws.instance(), Edits: ws.edits(res.Model), Stop: res.Stats.Stop}
-	case sat.Unknown:
-		// The minimisation could not even re-establish the model the
-		// solve phase found before its budget ran out.
-		return &Result{Indeterminate: true, Stop: res.Stats.Stop}
-	default:
-		// Cannot happen: harden preserves the satisfiable assumption set.
-		return &Result{Feedback: &Feedback{Core: ws.core(ctx, b)}}
-	}
+	return &Result{OK: true, Instance: ws.instance(), Edits: ws.edits(res.Model), Stop: res.Stats.Stop}
 }
 
 // ComputeEnvelopeCtx implements Alg. 3 for one recipient: the conjunction

@@ -106,11 +106,13 @@ func newWorkspace(sys *encode.System, specs []partySpec, reusable bool) *workspa
 		// on the complete database — its cheapest and most effective point.
 		// Deferring it behind a size floor mis-fires badly (a pass landing
 		// mid-minimisation on a grown database costs 3× more, and payoff
-		// tracks search difficulty, not clause count: services=12 one-shot
-		// reconcile is 0.24 s with the pass vs 1.2 s without), while the
-		// worst case of always running it is a few ms at walkthrough scale.
-		// Cache-owned sessions keep the solver's default floor: small warm
-		// sessions skip the pass, large ones amortise it across queries.
+		// tracks search difficulty, not clause count: a one-shot reconcile
+		// of the seed-42 sweep scenario takes 43 ms with or without the
+		// pass at services=12, but 161 ms with it vs 299 ms without at
+		// services=24; DESIGN §11), while the worst case of always running
+		// it is a few ms at walkthrough scale. Cache-owned sessions keep the
+		// solver's default floor: small warm sessions skip the pass, large
+		// ones amortise it across queries.
 		satOpts.SimpMinClauses = -1
 	}
 	ws.ss = relational.NewSessionWithOptions(b,
@@ -317,16 +319,17 @@ func (ws *workspace) harden() {
 	}
 }
 
-// minimize finds the model closest to the soft-knob preferences. On a
-// one-shot workspace, call after harden; on a reusable one the named
-// assumptions are threaded into every probe, so the session's clause set
-// stays clean for later calls. Distance bounds are always retractable and
-// the result is always canonicalized: the returned model is the unique
-// lexicographically-preferred minimal one, so one-shot, cached-cold and
-// cached-warm runs of the same query yield byte-identical models — the
-// idempotence a long-lived mediation daemon serves on top of. On budget
-// exhaustion mid-search it degrades to the best model found
-// (Result.Optimal false, Stats.Stop set).
+// minimize finds the model closest to the soft-knob preferences, starting
+// from the model of a Sat solve just before it. On a one-shot workspace,
+// call after harden; on a reusable one the named assumptions are threaded
+// into every probe, so the session's clause set stays clean for later
+// calls. Distance bounds are always retractable and the result is always
+// canonicalized: the returned model is the unique lexicographically-
+// preferred minimal one, so one-shot, cached-cold and cached-warm runs of
+// the same query yield byte-identical models — the idempotence a
+// long-lived mediation daemon serves on top of. On budget exhaustion
+// mid-search it degrades to the best model found (Result.Optimal false,
+// Stats.Stop set).
 func (ws *workspace) minimize(ctx context.Context, b sat.Budget) target.Result {
 	opts := target.Options{Context: ctx, Budget: b, Retractable: true, Canonical: true}
 	if ws.reusable {

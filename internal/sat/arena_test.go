@@ -91,32 +91,41 @@ func decodeCNF(data []byte) (int, [][]Lit) {
 // session is incremental: both solvers solve the clauses before split,
 // freeze the variables set in the freeze mask (which restores any that
 // preprocessing eliminated), take the remaining clauses (which restores
-// any eliminated variable they name) and solve again. Each solve runs
+// any eliminated variable they name) and solve again. Both solves run
 // under the assumptions in assume: variable v is assumed when bit v is
-// set, negated when bit 16+v is set too. Both verdicts must agree, every
-// SAT model must satisfy the clauses added so far and the assumptions,
-// and every UNSAT core must be a subset of the assumptions that the
-// reference finds UNSAT on its own.
+// set, negated when bit 16+v is set too. A third solve assumes every
+// variable the first two did not, with the same signs; those variables
+// were never frozen by an assumption, so preprocessing may have
+// eliminated them and the solve must restore them. Each pair of verdicts
+// must agree, every SAT model must satisfy the clauses added so far and
+// the assumptions, and every UNSAT core must be a subset of the
+// assumptions that the reference finds UNSAT on its own.
 func FuzzDifferentialCDCL(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0}, uint8(1), uint16(0), uint32(0))
 	f.Add([]byte{5, 1, 0, 9, 0, 1, 9, 0, 2, 10, 0, 2, 0}, uint8(2), uint16(0x3), uint32(0x1_0003))
 	f.Add([]byte{7, 1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 0, 10, 11, 12, 0}, uint8(3), uint16(0x2a), uint32(0x15_001f))
 	f.Add([]byte{3, 1, 0, 4, 0, 2, 0, 5, 0, 3, 0, 6, 0}, uint8(0), uint16(0x3ff), uint32(0x2_0006))
+	// The chain a→b→c→d with a and d assumed: preprocessing eliminates b
+	// and c, and the third solve assumes b and ¬c.
+	f.Add([]byte{1, 5, 2, 0, 6, 3, 0, 7, 4, 0}, uint8(3), uint16(0), uint32(0x4_0009))
 	f.Fuzz(func(t *testing.T, data []byte, split uint8, freeze uint16, assume uint32) {
 		nVars, clauses := decodeCNF(data)
 		if nVars == 0 {
 			return
 		}
-		var assumps []Lit
+		var assumps, fresh []Lit
 		for v := 0; v < nVars; v++ {
+			l := MkLit(Var(v), assume>>(16+v)&1 == 1)
 			if assume>>v&1 == 1 {
-				assumps = append(assumps, MkLit(Var(v), assume>>(16+v)&1 == 1))
+				assumps = append(assumps, l)
+			} else {
+				fresh = append(fresh, l)
 			}
 		}
 		first := clauses[:int(split)%(len(clauses)+1)]
 		full := newSolverWith(nVars, first, aggressiveOpts())
 		ref := newSolverWith(nVars, first, Options{DisableLearning: true})
-		check := func(phase string, added [][]Lit) {
+		check := func(phase string, added [][]Lit, assumps []Lit) {
 			got, want := full.Solve(assumps...), ref.Solve(assumps...)
 			if got != want {
 				t.Fatalf("%s: verdict mismatch: arena CDCL %v, DPLL reference %v (nVars=%d clauses=%v assumptions=%v)",
@@ -149,7 +158,7 @@ func FuzzDifferentialCDCL(f *testing.F) {
 				}
 			}
 		}
-		check("first batch", first)
+		check("first batch", first, assumps)
 		for v := 0; v < nVars; v++ {
 			if freeze>>v&1 == 1 {
 				full.Freeze(Var(v))
@@ -160,7 +169,8 @@ func FuzzDifferentialCDCL(f *testing.F) {
 			full.AddClause(c...)
 			ref.AddClause(c...)
 		}
-		check("second batch", clauses)
+		check("second batch", clauses, assumps)
+		check("fresh assumptions", clauses, fresh)
 	})
 }
 

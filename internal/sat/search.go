@@ -309,20 +309,22 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		return Unknown
 	}
 	s.cancelUntil(0)
+	// Assumption variables are frozen (and, if a previous run eliminated
+	// them, restored) so the assumptions name live variables. Restoring
+	// re-adds clauses through AddClause, which queues them for watching,
+	// so this comes before the flush.
+	for _, a := range assumps {
+		s.Freeze(a.Var())
+	}
 	s.flushWatches()
 	if confl := s.propagate(); confl != crefUndef {
 		s.unsatLevel0 = true
 		s.conflict = s.conflict[:0]
 		return Unsat
 	}
-	// Preprocess before search: assumption variables are frozen (and, if a
-	// previous run eliminated them, restored) so the assumptions name live
-	// variables, then the clause database is simplified if it is fresh or
-	// has grown enough since the last run. See simplify.go.
+	// Preprocess before search if the clause database is fresh or has
+	// grown enough since the last run. See simplify.go.
 	if !s.opts.DisableSimp {
-		for _, a := range assumps {
-			s.Freeze(a.Var())
-		}
 		s.maybeSimplify()
 		if s.unsatLevel0 {
 			s.conflict = s.conflict[:0]

@@ -121,6 +121,30 @@ func TestSimpFrozenAssumptionsSurvive(t *testing.T) {
 	}
 }
 
+// TestSimpAssumedEliminatedVarIsWatched: assuming a variable that
+// preprocessing eliminated restores its clauses during Solve, and those
+// clauses must be watched in the search that follows. With a and d
+// frozen, the first solve eliminates b and c; assuming b and ¬d then
+// contradicts the chain a→b→c→d only through the restored clauses.
+func TestSimpAssumedEliminatedVarIsWatched(t *testing.T) {
+	s := NewWithOptions(Options{SimpMinClauses: -1})
+	a, b, c, d := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()
+	s.Freeze(a)
+	s.Freeze(d)
+	s.AddClause(NegLit(a), PosLit(b))
+	s.AddClause(NegLit(b), PosLit(c))
+	s.AddClause(NegLit(c), PosLit(d))
+	if st := s.Solve(); st != Sat {
+		t.Fatalf("first solve: want sat, got %v", st)
+	}
+	if !s.Eliminated(b) || !s.Eliminated(c) {
+		t.Fatalf("the first solve must eliminate b and c (b %v, c %v)", s.Eliminated(b), s.Eliminated(c))
+	}
+	if st := s.Solve(PosLit(b), NegLit(d)); st != Unsat {
+		t.Fatalf("assuming b and ¬d: want unsat, got %v with model %v", st, s.Model())
+	}
+}
+
 // TestSimpStatsReported checks the counters surface.
 func TestSimpStatsReported(t *testing.T) {
 	s := NewWithOptions(Options{SimpMinClauses: -1})

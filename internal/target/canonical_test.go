@@ -86,7 +86,7 @@ func TestCanonicalMatchesBruteForceLex(t *testing.T) {
 			continue
 		}
 		for _, st := range []Strategy{StrategyLinear, StrategyBinary} {
-			r := Minimize(in.solver(), in.soft, Options{
+			r := solveThenMinimize(in.solver(), in.soft, Options{
 				Strategy: st, Retractable: true, Canonical: true,
 			})
 			if r.Status != sat.Sat || !r.Optimal {
@@ -115,13 +115,13 @@ func TestCanonicalWarmEqualsCold(t *testing.T) {
 		if _, ok := in.bruteForce(); !ok {
 			continue
 		}
-		cold := Minimize(in.solver(), in.soft, Options{Retractable: true, Canonical: true})
+		cold := solveThenMinimize(in.solver(), in.soft, Options{Retractable: true, Canonical: true})
 		want := softProjection(cold.Model, in.soft)
 
 		s := in.solver()
 		enc := NewEncoderCache()
 		for round := 0; round < 4; round++ {
-			r := Minimize(s, in.soft, Options{Retractable: true, Canonical: true, Encoder: enc})
+			r := solveThenMinimize(s, in.soft, Options{Retractable: true, Canonical: true, Encoder: enc})
 			if r.Status != sat.Sat {
 				t.Fatalf("trial %d round %d: status %v", trial, round, r.Status)
 			}

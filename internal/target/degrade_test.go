@@ -27,14 +27,16 @@ func chainProblem(n int) (*sat.Solver, []sat.Lit) {
 
 func TestMinimizeCancelledMidDescentKeepsBestModel(t *testing.T) {
 	s, soft := chainProblem(10)
+	if s.Solve() != sat.Sat {
+		t.Fatal("the chain must be satisfiable")
+	}
+	first := s.Model()
 	ctx, cancel := context.WithCancel(context.Background())
-	var firstDistance int
 	res := Minimize(s, soft, Options{
 		Context: ctx,
 		OnStep: func(st Step) {
 			if st.Solve == 1 {
-				firstDistance = st.Distance
-				cancel() // interrupt before the descent can run
+				cancel() // interrupt after the first relaxation probe
 			}
 		},
 	})
@@ -50,21 +52,28 @@ func TestMinimizeCancelledMidDescentKeepsBestModel(t *testing.T) {
 	if res.Stats.Stop != StopCancelled {
 		t.Fatalf("stop reason: got %v, want cancelled", res.Stats.Stop)
 	}
-	if res.Distance != firstDistance {
-		t.Fatalf("distance: got %d, want first model's %d", res.Distance, firstDistance)
+	if res.Distance != distance(first, soft) || !sameBools(res.Model, first) {
+		t.Fatalf("distance: got %d, want the caller's first model at %d", res.Distance, distance(first, soft))
 	}
 }
 
+// TestMinimizeExpiredDeadlineBeforeFirstModel: a deadline that expired
+// before Minimize starts stops its first probe, and the run returns the
+// caller's model, not proved optimal.
 func TestMinimizeExpiredDeadlineBeforeFirstModel(t *testing.T) {
 	s, soft := chainProblem(6)
+	if s.Solve() != sat.Sat {
+		t.Fatal("the chain must be satisfiable")
+	}
+	first := s.Model()
 	res := Minimize(s, soft, Options{
 		Budget: sat.Budget{Deadline: time.Now().Add(-time.Second)},
 	})
-	if res.Status != sat.Unknown {
-		t.Fatalf("status: got %v, want UNKNOWN", res.Status)
+	if res.Status != sat.Sat || res.Optimal {
+		t.Fatalf("status %v optimal %v, want SAT, not optimal", res.Status, res.Optimal)
 	}
-	if res.Model != nil || res.Optimal {
-		t.Fatal("no model may be reported when the first probe never ran")
+	if !sameBools(res.Model, first) || res.Distance != distance(first, soft) {
+		t.Fatalf("got a model at distance %d, want the caller's at %d", res.Distance, distance(first, soft))
 	}
 	if res.Stats.Stop != StopDeadline {
 		t.Fatalf("stop reason: got %v, want deadline", res.Stats.Stop)
@@ -73,12 +82,9 @@ func TestMinimizeExpiredDeadlineBeforeFirstModel(t *testing.T) {
 
 func TestMinimizeRunWideConflictBudget(t *testing.T) {
 	// A one-conflict run budget cannot finish the descent on a chain
-	// problem but must still return the first model.
+	// problem but must still return a model.
 	s, soft := chainProblem(12)
-	res := Minimize(s, soft, Options{Budget: sat.Budget{MaxConflicts: 1}})
-	if res.Status == sat.Unknown {
-		t.Skip("first probe alone exhausted the budget")
-	}
+	res := solveThenMinimize(s, soft, Options{Budget: sat.Budget{MaxConflicts: 1}})
 	if res.Optimal {
 		// With such a tiny budget the descent cannot have completed
 		// unless the very first model was already optimal.
@@ -97,7 +103,7 @@ func TestMinimizeRunWideConflictBudget(t *testing.T) {
 
 func TestMinimizeUnbudgetedStillOptimal(t *testing.T) {
 	s, soft := chainProblem(9)
-	res := Minimize(s, soft, Options{})
+	res := solveThenMinimize(s, soft, Options{})
 	if res.Status != sat.Sat || !res.Optimal {
 		t.Fatalf("unbudgeted run must complete: %+v", res)
 	}

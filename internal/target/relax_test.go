@@ -75,22 +75,17 @@ func TestMinimizeFarFirstModelMatchesBruteForce(t *testing.T) {
 			for _, canonical := range []bool{false, true} {
 				s := in.solver()
 				awayFromTarget(s, in.soft)
-				first := -1
+				if got := s.Solve(in.assumps...); (got == sat.Sat) != ok {
+					t.Fatalf("trial %d %v canonical=%v: first solve %v, brute force satisfiable %v", trial, st, canonical, got, ok)
+				}
+				if !ok {
+					continue
+				}
+				first := distance(s.Model(), in.soft)
 				res := Minimize(s, in.soft, Options{
 					Strategy: st, Retractable: canonical, Canonical: canonical,
 					Assumptions: in.assumps,
-					OnStep: func(step Step) {
-						if step.Solve == 1 && step.Status == sat.Sat {
-							first = step.Distance
-						}
-					},
 				})
-				if !ok {
-					if res.Status != sat.Unsat {
-						t.Fatalf("trial %d %v canonical=%v: want Unsat, got %v", trial, st, canonical, res.Status)
-					}
-					continue
-				}
 				if res.Status != sat.Sat || !res.Optimal || res.Stats.Stop != StopNone {
 					t.Fatalf("trial %d %v canonical=%v: status %v optimal %v stop %v",
 						trial, st, canonical, res.Status, res.Optimal, res.Stats.Stop)
@@ -148,65 +143,49 @@ func gatedPigeons() (*sat.Solver, []sat.Lit) {
 	return s, []sat.Lit{a, b}
 }
 
-// TestMinimizeStopDuringRelaxation lands each kind of stop on a core
-// relaxation probe. Every run must return the plain first model, not
-// claim optimality, record the cause, and leave that model as the
+// TestMinimizeStopDuringRelaxation lands each kind of stop on the first
+// core relaxation probe. Every run must return the caller's first model,
+// not claim optimality, record the cause, and leave that model as the
 // solver's retained one; no capped probe may have been issued.
 func TestMinimizeStopDuringRelaxation(t *testing.T) {
-	// Minimize's first probe is a plain Solve: its model and its solver
-	// work.
-	s0, soft := gatedPigeons()
-	if st := s0.Solve(); st != sat.Sat {
-		t.Fatalf("first model: status %v, want Sat", st)
-	}
-	firstModel := s0.Model()
-	firstDistance := distance(firstModel, soft)
-	if firstDistance != 2 {
-		t.Fatalf("first model at distance %d, want 2", firstDistance)
-	}
-	firstConflicts, firstProps := s0.Stats.Conflicts, s0.Stats.Propagations
-
 	cases := []struct {
 		name string
 		want StopReason
-		opts func() (Options, func(Step))
+		opts func() Options
 	}{
-		{"conflicts", StopConflicts, func() (Options, func(Step)) {
-			return Options{Budget: sat.Budget{MaxConflicts: firstConflicts + 1}}, nil
+		// The first relaxation probe needs several conflicts and more
+		// than one propagation.
+		{"conflicts", StopConflicts, func() Options {
+			return Options{Budget: sat.Budget{MaxConflicts: 1}}
 		}},
-		{"propagations", StopPropagations, func() (Options, func(Step)) {
-			return Options{Budget: sat.Budget{MaxPropagations: firstProps + 1}}, nil
+		{"propagations", StopPropagations, func() Options {
+			return Options{Budget: sat.Budget{MaxPropagations: 1}}
 		}},
-		{"deadline", StopDeadline, func() (Options, func(Step)) {
-			deadline := time.Now().Add(100 * time.Millisecond)
-			return Options{Budget: sat.Budget{Deadline: deadline}}, func(st Step) {
-				if st.Solve == 1 {
-					time.Sleep(time.Until(deadline) + time.Millisecond)
-				}
-			}
+		{"deadline", StopDeadline, func() Options {
+			return Options{Budget: sat.Budget{Deadline: time.Now().Add(-time.Second)}}
 		}},
-		{"cancel", StopCancelled, func() (Options, func(Step)) {
+		{"cancel", StopCancelled, func() Options {
 			ctx, cancel := context.WithCancel(context.Background())
-			return Options{Context: ctx}, func(st Step) {
-				if st.Solve == 1 {
-					cancel()
-				}
-			}
+			cancel()
+			return Options{Context: ctx}
 		}},
 	}
 	for _, c := range cases {
 		for _, st := range []Strategy{StrategyLinear, StrategyBinary} {
 			for _, canonical := range []bool{false, true} {
 				s, soft := gatedPigeons()
-				opts, hook := c.opts()
+				if got := s.Solve(); got != sat.Sat {
+					t.Fatalf("first model: status %v, want Sat", got)
+				}
+				firstModel := s.Model()
+				firstDistance := distance(firstModel, soft)
+				if firstDistance != 2 {
+					t.Fatalf("first model at distance %d, want 2", firstDistance)
+				}
+				opts := c.opts()
 				opts.Strategy, opts.Retractable, opts.Canonical = st, canonical, canonical
 				var bounds []int
-				opts.OnStep = func(step Step) {
-					bounds = append(bounds, step.Bound)
-					if hook != nil {
-						hook(step)
-					}
-				}
+				opts.OnStep = func(step Step) { bounds = append(bounds, step.Bound) }
 				res := Minimize(s, soft, opts)
 				name := c.name + "/" + st.String()
 				if res.Status != sat.Sat || res.Optimal || res.Stats.Stop != c.want {
@@ -214,7 +193,7 @@ func TestMinimizeStopDuringRelaxation(t *testing.T) {
 						name, canonical, res.Status, res.Optimal, res.Stats.Stop, c.want)
 				}
 				if res.Distance != firstDistance || !sameBools(res.Model, firstModel) {
-					t.Fatalf("%s canonical=%v: returned distance %d, not the plain first model's %d",
+					t.Fatalf("%s canonical=%v: returned distance %d, not the caller's first model's %d",
 						name, canonical, res.Distance, firstDistance)
 				}
 				if !sameModel(s, res.Model, len(res.Model)) {
@@ -296,6 +275,10 @@ func TestMinimizeCoresProveMinimumWithoutDescent(t *testing.T) {
 		for _, canonical := range []bool{false, true} {
 			s, soft := build()
 			vars := s.NumVars()
+			if s.Solve() != sat.Sat {
+				t.Fatal("the pairs must be satisfiable")
+			}
+			first := distance(s.Model(), soft)
 			var steps []Step
 			res := Minimize(s, soft, Options{
 				Strategy: st, Retractable: canonical, Canonical: canonical,
@@ -305,8 +288,8 @@ func TestMinimizeCoresProveMinimumWithoutDescent(t *testing.T) {
 				t.Fatalf("%v canonical=%v: status %v optimal %v distance %d, want optimal 5",
 					st, canonical, res.Status, res.Optimal, res.Distance)
 			}
-			if steps[0].Distance <= res.Distance {
-				t.Fatalf("%v canonical=%v: first model already at %d; the instance must start far", st, canonical, steps[0].Distance)
+			if first <= res.Distance {
+				t.Fatalf("%v canonical=%v: first model already at %d; the instance must start far", st, canonical, first)
 			}
 			for _, step := range steps {
 				if step.Bound >= 0 && step.Bound < res.Distance {
@@ -351,9 +334,10 @@ func TestEncoderCacheGrowsGeometrically(t *testing.T) {
 	}
 }
 
-// FuzzMinimize compares Minimize with brute force on tiny random CNFs:
-// satisfiability, minimal distance, the returned model's validity, the
-// solver's retained model, and under Canonical the lexicographic model.
+// FuzzMinimize compares a solve followed by Minimize with brute force on
+// tiny random CNFs: satisfiability, minimal distance, the returned
+// model's validity, the solver's retained model, and under Canonical the
+// lexicographic model.
 // Bytes pick the variable count, clauses, soft literals, assumptions, the
 // strategy, Canonical, and whether the first model is pushed away from
 // the target.
@@ -397,7 +381,7 @@ func FuzzMinimize(f *testing.F) {
 		if flags&4 != 0 {
 			awayFromTarget(s, in.soft)
 		}
-		res := Minimize(s, in.soft, Options{
+		res := solveThenMinimize(s, in.soft, Options{
 			Strategy: st, Retractable: canonical, Canonical: canonical, Assumptions: in.assumps,
 		})
 		if !ok {

@@ -1,7 +1,8 @@
 // Package target implements Pardinus-style target-oriented model
-// finding over the incremental SAT layer: given a satisfiable clause
-// set and a list of soft target literals (polarity = desired value),
-// Minimize finds a model at minimal Hamming distance to the target.
+// finding over the incremental SAT layer: given a solver that has just
+// found a model and a list of soft target literals (polarity = desired
+// value), Minimize finds a model at minimal Hamming distance to the
+// target, starting from the one the solver holds.
 //
 // This is the solver mediation behind the paper's minimal-edit feedback
 // (Sec. 4.3): each soft-constrained configuration knob contributes one
@@ -11,7 +12,7 @@
 // The distance bound is maintained by a truncated totalizer cardinality
 // encoding over the mismatch literals (totalizer.go); the encoding is
 // built once and every later bound tightening reuses its clauses. Its
-// truncation is the distance of a core-tightened first model (relax):
+// truncation is the distance of the core-tightened first model (relax):
 // assumption probes relax disjoint failed-assumption cores of the soft
 // set until the rest is satisfiable, which both lowers the distance the
 // counter must express and proves a lower bound on the minimum (the
@@ -31,8 +32,7 @@ import (
 )
 
 // StopReason explains why a Minimize run stopped before proving its
-// result optimal. StopNone means the run completed: either optimality was
-// proved or the hard clauses are unsatisfiable.
+// result optimal. StopNone means the run completed.
 type StopReason int
 
 const (
@@ -159,10 +159,12 @@ type Options struct {
 	// propagation caps are shared across probes, not per probe). On
 	// exhaustion Minimize degrades gracefully: it returns the best model
 	// so far with Optimal == false, the cause recorded in Stats.Stop.
+	// The caller's own solve is outside it.
 	Budget sat.Budget
 	// Assumptions are threaded into every solver probe, so Minimize can
 	// run against a retractable constraint set (selector-guarded groups)
 	// instead of requiring the caller to harden it into clauses first.
+	// The caller's solve must have run under them too (see Minimize).
 	Assumptions []sat.Lit
 	// Retractable makes linear descent cap the distance with assumption
 	// literals instead of permanently asserted unit clauses, leaving the
@@ -202,8 +204,8 @@ type Options struct {
 // observability hook.
 type Step struct {
 	Solve int // 1-based probe index
-	// Bound is the distance cap in effect; -1 marks an uncapped probe (the
-	// first solve and the core-relaxation probes that follow it).
+	// Bound is the distance cap in effect; -1 marks an uncapped probe (a
+	// core-relaxation probe).
 	Bound    int
 	Status   sat.Status // probe outcome
 	Distance int        // model distance (valid when Status == Sat)
@@ -211,11 +213,11 @@ type Step struct {
 
 // Stats records the work one Minimize run performed.
 type Stats struct {
-	Solves int // SAT probes issued
+	Solves int // SAT probes issued; the caller's solve is not one
 	// Stop records why the run gave up before proving optimality
-	// (StopNone when it ran to completion). When Result.Status is Sat and
-	// Stop is not StopNone, Result.Model is the best model found before
-	// the interruption and Result.Optimal is false — except with
+	// (StopNone when it ran to completion). When Stop is not StopNone,
+	// Result.Model is the best model found before the interruption (at
+	// worst the caller's) and Result.Optimal is false — except with
 	// Options.Canonical, where Stop may be set with Optimal still true:
 	// the distance was proved minimal and only the canonicalization
 	// tie-break was cut short.
@@ -224,14 +226,13 @@ type Stats struct {
 
 // Result is the outcome of a Minimize run.
 type Result struct {
-	// Status is Sat when a model was found, Unsat when the hard clauses
-	// admit none, Unknown when the solver gave up before a first model.
+	// Status is always Sat: the run starts from the caller's model.
 	Status sat.Status
-	// Model is the closest model found (valid when Status == Sat),
-	// indexed by solver variable like sat.Solver.Model.
+	// Model is the closest model found, indexed by solver variable like
+	// sat.Solver.Model.
 	Model []bool
 	// Distance is the achieved Hamming distance from Model to the soft
-	// targets (valid when Status == Sat).
+	// targets.
 	Distance int
 	// Optimal reports whether Distance was proved globally minimal; it
 	// is false only when a budget or cancellation stopped the search
@@ -243,26 +244,33 @@ type Result struct {
 
 // Minimize searches for a model of s minimising the number of falsified
 // soft literals (the Hamming distance to the target assignment each
-// literal's polarity encodes). The solver is driven incrementally:
-// clauses (totalizer + permanent bounds) may be added, but the final
-// internal solver model always matches Result.Model, so callers that
-// decode state from the solver afterwards (e.g. relational instance
-// extraction) see the minimised model. Duplicate and even contradictory
-// soft literals (l and ¬l both soft) are permitted; a contradictory pair
-// simply contributes an unavoidable unit of distance.
+// literal's polarity encodes). Its first model is s.Model(): the caller
+// must have just solved s under opts.Assumptions with a Sat result, and
+// any clauses added since must hold in that model (hardened assumptions,
+// say). The solver is driven incrementally: clauses (totalizer +
+// permanent bounds) may be added, but the final internal solver model
+// always matches Result.Model, so callers that decode state from the
+// solver afterwards (e.g. relational instance extraction) see the
+// minimised model. Duplicate and even contradictory soft literals (l and
+// ¬l both soft) are permitted; a contradictory pair simply contributes an
+// unavoidable unit of distance.
 func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 	st := opts.Strategy
 	if st == StrategyAuto {
 		st = defaultStrategy
 	}
-	r := Result{}
 	// Soft literals are probed as assumptions and read back from every
 	// model; they must keep their identity through CNF preprocessing.
+	// (The caller's solve already froze Options.Assumptions.)
 	for _, l := range soft {
 		s.FreezeLit(l)
 	}
-	for _, l := range opts.Assumptions {
-		s.FreezeLit(l)
+	r := Result{Status: sat.Sat, Model: s.Model()}
+	r.Distance = distance(r.Model, soft)
+	if r.Distance == 0 {
+		// Already on target; no encoding or search needed.
+		r.Optimal = true
+		return r
 	}
 	startConflicts := s.Stats.Conflicts
 	startProps := s.Stats.Propagations
@@ -304,11 +312,9 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 		// previous near-optimal assignment (most decisions re-establish it
 		// via phase saving) instead of re-exploring from the root — the
 		// descent analogue of Pardinus' target-oriented polarity mode.
-		if r.Model != nil {
-			s.SetPhases(r.Model)
-			for _, l := range soft {
-				s.SetPhaseLit(l)
-			}
+		s.SetPhases(r.Model)
+		for _, l := range soft {
+			s.SetPhaseLit(l)
 		}
 		all := assumps
 		if len(opts.Assumptions) > 0 {
@@ -329,20 +335,6 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 			opts.OnStep(step)
 		}
 		return status
-	}
-
-	// First model: unbounded solve against the hard clauses alone.
-	if st0 := probe(-1); st0 != sat.Sat {
-		r.Status = st0
-		return r
-	}
-	r.Status = sat.Sat
-	r.Model = s.Model()
-	r.Distance = distance(r.Model, soft)
-	if r.Distance == 0 {
-		// Already on target; no encoding or search needed.
-		r.Optimal = true
-		return r
 	}
 
 	retractable := opts.Retractable || st == StrategyBinary
@@ -393,7 +385,7 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 	default:
 		linearDescent(s, soft, tot, &r, lb, probe, opts.Retractable)
 	}
-	if canonical && r.Status == sat.Sat && r.Optimal && r.Distance > 0 {
+	if canonical && r.Optimal && r.Distance > 0 {
 		canonicalize(s, soft, tot, &r, probe)
 	}
 	return r
@@ -414,9 +406,9 @@ func Minimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
 // literals the first model satisfies, finds a model no farther than the
 // first. Either way the solver's retained model ends equal to r.Model,
 // since UNSAT and stopped probes leave it untouched. done is false when a
-// budget or cancellation stopped a probe; r is then the plain
-// first model — except when the stop hit that extra probe, where r takes
-// the retained relaxation model so the two still agree.
+// budget or cancellation stopped a probe; r is then the caller's first
+// model — except when the stop hit that extra probe, where r takes the
+// retained relaxation model so the two still agree.
 func relax(s *sat.Solver, soft []sat.Lit, r *Result,
 	probe func(int, ...sat.Lit) sat.Status) (lb int, done bool) {
 	relaxed := make([]bool, len(soft))

@@ -80,6 +80,16 @@ func (in *instance) bruteForce() (best int, ok bool) {
 	return best, ok
 }
 
+// solveThenMinimize calls Minimize as the workflows do: right after a Sat
+// solve under the run's assumptions, whose model is Minimize's first. A
+// solve that is not Sat becomes the result's status, with no model.
+func solveThenMinimize(s *sat.Solver, soft []sat.Lit, opts Options) Result {
+	if st := s.Solve(opts.Assumptions...); st != sat.Sat {
+		return Result{Status: st}
+	}
+	return Minimize(s, soft, opts)
+}
+
 func randomInstance(rng *rand.Rand) *instance {
 	in := &instance{nVars: 3 + rng.Intn(9)} // 3..11 variables
 	nClauses := rng.Intn(3 * in.nVars)
@@ -132,7 +142,7 @@ func TestMinimizeMatchesBruteForce(t *testing.T) {
 		in := randomInstance(rand.New(rand.NewSource(seed)))
 		want, feasible := in.bruteForce()
 		for _, st := range strategies {
-			res := Minimize(in.solver(), in.soft, Options{Strategy: st})
+			res := solveThenMinimize(in.solver(), in.soft, Options{Strategy: st})
 			if !feasible {
 				if res.Status != sat.Unsat {
 					t.Fatalf("seed %d %v: want Unsat, got %v", seed, st, res.Status)
@@ -161,7 +171,7 @@ func TestMinimizeSolverModelMatchesResult(t *testing.T) {
 		in := randomInstance(rand.New(rand.NewSource(seed)))
 		for _, st := range []Strategy{StrategyLinear, StrategyBinary} {
 			s := in.solver()
-			res := Minimize(s, in.soft, Options{Strategy: st})
+			res := solveThenMinimize(s, in.soft, Options{Strategy: st})
 			if res.Status != sat.Sat {
 				continue
 			}
@@ -179,12 +189,12 @@ func TestMinimizeZeroSoftLits(t *testing.T) {
 	s := sat.New()
 	a := s.NewVar()
 	s.AddClause(sat.PosLit(a))
-	res := Minimize(s, nil, Options{})
+	res := solveThenMinimize(s, nil, Options{})
 	if res.Status != sat.Sat || res.Distance != 0 || !res.Optimal {
 		t.Fatalf("want Sat/0/optimal, got %+v", res)
 	}
-	if res.Stats.Solves != 1 {
-		t.Fatalf("no soft lits must cost exactly one solve, got %d", res.Stats.Solves)
+	if res.Stats.Solves != 0 {
+		t.Fatalf("no soft lits must cost no probe, got %d", res.Stats.Solves)
 	}
 }
 
@@ -194,27 +204,52 @@ func TestMinimizeAlreadyOptimalFirstModel(t *testing.T) {
 	s.AddClause(sat.PosLit(a))
 	s.AddClause(sat.NegLit(b))
 	// Soft targets agree with the forced assignment: distance 0 at once.
-	res := Minimize(s, []sat.Lit{sat.PosLit(a), sat.NegLit(b)}, Options{})
+	res := solveThenMinimize(s, []sat.Lit{sat.PosLit(a), sat.NegLit(b)}, Options{})
 	if res.Status != sat.Sat || res.Distance != 0 || !res.Optimal {
 		t.Fatalf("want Sat/0/optimal, got %+v", res)
 	}
-	if res.Stats.Solves != 1 {
-		t.Fatalf("distance-0 first model must not search, got %d solves", res.Stats.Solves)
+	if res.Stats.Solves != 0 {
+		t.Fatalf("distance-0 first model must not search, got %d probes", res.Stats.Solves)
 	}
 }
 
-func TestMinimizeUnsatHardConstraints(t *testing.T) {
+// TestMinimizeFirstModelOnTargetCostsNoProbe: when the caller's model
+// already satisfies every soft literal, Minimize returns it as proved
+// optimal without a probe, a counter or any solver work, under either
+// strategy, with or without Canonical and an encoder cache, and under
+// assumptions.
+func TestMinimizeFirstModelOnTargetCostsNoProbe(t *testing.T) {
 	for _, st := range []Strategy{StrategyLinear, StrategyBinary} {
-		s := sat.New()
-		a := s.NewVar()
-		s.AddClause(sat.PosLit(a))
-		s.AddClause(sat.NegLit(a))
-		res := Minimize(s, []sat.Lit{sat.PosLit(a)}, Options{Strategy: st})
-		if res.Status != sat.Unsat {
-			t.Fatalf("%v: want Unsat, got %v", st, res.Status)
-		}
-		if res.Model != nil {
-			t.Fatalf("%v: Unsat result must carry no model", st)
+		for _, canonical := range []bool{false, true} {
+			s, chain := chainProblem(6)
+			assumps := []sat.Lit{chain[1]}
+			if s.Solve(assumps...) != sat.Sat {
+				t.Fatal("the chain must be satisfiable with x1 true")
+			}
+			first := s.Model()
+			// The soft targets ask for what the caller's model already has.
+			soft := make([]sat.Lit, len(chain))
+			for i, l := range chain {
+				soft[i] = sat.MkLit(l.Var(), !first[l.Var()])
+			}
+			opts := Options{Strategy: st, Retractable: canonical, Canonical: canonical, Assumptions: assumps,
+				OnStep: func(step Step) { t.Errorf("%v canonical=%v: probe issued: %+v", st, canonical, step) }}
+			if canonical {
+				opts.Encoder = NewEncoderCache()
+			}
+			work := s.Stats
+			nVars, nClauses := s.NumVars(), s.NumClauses()
+			res := Minimize(s, soft, opts)
+			if res.Status != sat.Sat || !res.Optimal || res.Distance != 0 || res.Stats.Solves != 0 || res.Stats.Stop != StopNone {
+				t.Fatalf("%v canonical=%v: got %+v, want Sat, optimal, distance 0, no probe", st, canonical, res)
+			}
+			if !sameBools(res.Model, first) {
+				t.Fatalf("%v canonical=%v: result is not the caller's model", st, canonical)
+			}
+			if s.Stats != work || s.NumVars() != nVars || s.NumClauses() != nClauses {
+				t.Fatalf("%v canonical=%v: solver did work or grew: %+v → %+v, %d → %d vars, %d → %d clauses",
+					st, canonical, work, s.Stats, nVars, s.NumVars(), nClauses, s.NumClauses())
+			}
 		}
 	}
 }
@@ -226,7 +261,7 @@ func TestMinimizeContradictorySoftPair(t *testing.T) {
 		s := sat.New()
 		a := s.NewVar()
 		s.NewVar() // an unconstrained bystander
-		res := Minimize(s, []sat.Lit{sat.PosLit(a), sat.NegLit(a)}, Options{Strategy: st})
+		res := solveThenMinimize(s, []sat.Lit{sat.PosLit(a), sat.NegLit(a)}, Options{Strategy: st})
 		if res.Status != sat.Sat || res.Distance != 1 || !res.Optimal {
 			t.Fatalf("%v: want Sat/1/optimal, got %+v", st, res)
 		}
@@ -256,7 +291,7 @@ func groupedInstance(n int) (*sat.Solver, []sat.Lit) {
 func TestMinimizeGroupedInstance(t *testing.T) {
 	for _, st := range []Strategy{StrategyLinear, StrategyBinary} {
 		s, soft := groupedInstance(24)
-		res := Minimize(s, soft, Options{Strategy: st})
+		res := solveThenMinimize(s, soft, Options{Strategy: st})
 		if res.Status != sat.Sat || res.Distance != 18 || !res.Optimal {
 			t.Fatalf("%v: want Sat/18/optimal, got status=%v d=%d optimal=%v",
 				st, res.Status, res.Distance, res.Optimal)
@@ -268,7 +303,7 @@ func TestMinimizeOnStepAndStats(t *testing.T) {
 	for _, st := range []Strategy{StrategyLinear, StrategyBinary} {
 		s, soft := groupedInstance(8)
 		var steps []Step
-		res := Minimize(s, soft, Options{Strategy: st, OnStep: func(st Step) {
+		res := solveThenMinimize(s, soft, Options{Strategy: st, OnStep: func(st Step) {
 			steps = append(steps, st)
 		}})
 		if res.Status != sat.Sat || res.Distance != 6 {
@@ -313,7 +348,7 @@ func TestSetDefaultStrategy(t *testing.T) {
 	defer SetDefaultStrategy(prev)
 	s, soft := groupedInstance(24)
 	first := -1
-	res := Minimize(s, soft, Options{OnStep: func(st Step) {
+	res := solveThenMinimize(s, soft, Options{OnStep: func(st Step) {
 		if first < 0 && st.Bound >= 0 {
 			first = st.Bound
 		}
@@ -334,7 +369,7 @@ func TestSetDefaultStrategy(t *testing.T) {
 func benchmarkMinimize(b *testing.B, st Strategy) {
 	for i := 0; i < b.N; i++ {
 		s, soft := groupedInstance(24)
-		res := Minimize(s, soft, Options{Strategy: st})
+		res := solveThenMinimize(s, soft, Options{Strategy: st})
 		if res.Status != sat.Sat || res.Distance != 18 || !res.Optimal {
 			b.Fatalf("want Sat/18/optimal, got %v/%d/%v", res.Status, res.Distance, res.Optimal)
 		}
@@ -364,7 +399,7 @@ func TestMinimizeEncoderCache(t *testing.T) {
 			vars, clauses := s.NumVars(), s.NumClauses()
 			for run := 0; run < 4; run++ {
 				built := cache.Built()
-				res := Minimize(s, in.soft, opts)
+				res := solveThenMinimize(s, in.soft, opts)
 				if res.Status != sat.Sat || !res.Optimal {
 					t.Fatalf("seed %d run %d: status %v optimal %v", seed, run, res.Status, res.Optimal)
 				}

@@ -28,24 +28,21 @@ type Named struct {
 	Lit sat.Lit
 }
 
-// Find returns an unsatisfiable core of the named constraints, minimised by
-// deletion: every returned element is necessary (removing it restores
-// satisfiability relative to the others). It returns nil when the
+// FindCtx returns an unsatisfiable core of the named constraints,
+// minimised by deletion: every returned element is necessary (removing it
+// restores satisfiability relative to the others). It returns nil when the
 // constraints are jointly satisfiable with the solver's clauses. If the
-// solver's hard clauses are unsatisfiable on their own, it returns an empty
-// non-nil slice.
-func Find(s *sat.Solver, named []Named) []Named {
-	return FindCtx(context.Background(), sat.Budget{}, s, named)
-}
-
-// FindCtx is Find under a cancellation context and a work budget. The
-// budget's caps apply to each individual solver call; the deadline is a
-// shared wall-clock cutoff. Degradation is conservative and never
-// fabricates blame: if the initial solve cannot re-establish
-// unsatisfiability within budget, FindCtx returns nil (check the solver's
-// StopReason to distinguish "satisfiable" from "gave up"); if a deletion
-// trial comes back Unknown, the element under test is kept, so the result
-// is a valid — possibly non-minimal — core.
+// solver's hard clauses are unsatisfiable on their own, it returns an
+// empty non-nil slice.
+//
+// The context and the budget bound the work: the budget's caps apply to
+// each individual solver call; the deadline is a shared wall-clock cutoff.
+// Degradation is conservative and never fabricates blame: if the initial
+// solve cannot re-establish unsatisfiability within budget, FindCtx
+// returns nil (check the solver's StopReason to distinguish "satisfiable"
+// from "gave up"); if a deletion trial comes back Unknown, the element
+// under test is kept, so the result is a valid — possibly non-minimal —
+// core.
 func FindCtx(ctx context.Context, b sat.Budget, s *sat.Solver, named []Named) []Named {
 	all := make([]sat.Lit, 0, len(named))
 	seenLit := make(map[sat.Lit]bool, len(named))

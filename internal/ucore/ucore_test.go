@@ -1,6 +1,7 @@
 package ucore
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestFindSatisfiableReturnsNil(t *testing.T) {
 	s := sat.New()
 	a := s.NewVar()
 	n1 := Named{Name: "a", Lit: selector(s, sat.PosLit(a))}
-	if core := Find(s, []Named{n1}); core != nil {
+	if core := FindCtx(context.Background(), sat.Budget{}, s, []Named{n1}); core != nil {
 		t.Fatalf("want nil core, got %v", core)
 	}
 }
@@ -31,7 +32,7 @@ func TestFindSimpleCore(t *testing.T) {
 	posA := Named{Name: "a must hold", Lit: selector(s, sat.PosLit(a))}
 	negA := Named{Name: "a must not hold", Lit: selector(s, sat.NegLit(a))}
 	posB := Named{Name: "b must hold", Lit: selector(s, sat.PosLit(b))}
-	core := Find(s, []Named{posA, negA, posB})
+	core := FindCtx(context.Background(), sat.Budget{}, s, []Named{posA, negA, posB})
 	if len(core) != 2 {
 		t.Fatalf("core size %d, want 2: %v", len(core), core)
 	}
@@ -56,7 +57,7 @@ func TestFindMinimality(t *testing.T) {
 		{Name: "y", Lit: selector(s, sat.PosLit(y))},
 		{Name: "y2", Lit: selector(s, sat.PosLit(y))},
 	}
-	core := Find(s, named)
+	core := FindCtx(context.Background(), sat.Budget{}, s, named)
 	if len(core) != 4 {
 		t.Fatalf("core %v, want the 4-element chain", core)
 	}
@@ -73,7 +74,7 @@ func TestFindHardUnsat(t *testing.T) {
 	n1 := Named{Name: "n1", Lit: selector(s, sat.PosLit(a))}
 	s.AddClause(sat.PosLit(a))
 	s.AddClause(sat.NegLit(a))
-	core := Find(s, []Named{n1})
+	core := FindCtx(context.Background(), sat.Budget{}, s, []Named{n1})
 	if core == nil || len(core) != 0 {
 		t.Fatalf("hard-unsat should give empty non-nil core, got %v", core)
 	}
@@ -99,7 +100,7 @@ func TestFindEachElementNecessary(t *testing.T) {
 				Lit:  selector(s, c...),
 			})
 		}
-		core := Find(s, named)
+		core := FindCtx(context.Background(), sat.Budget{}, s, named)
 		if core == nil {
 			continue
 		}
@@ -135,7 +136,7 @@ func TestDuplicateLitsShareNames(t *testing.T) {
 		{Name: "second", Lit: sel},
 		{Name: "contra", Lit: selector(s, sat.NegLit(a))},
 	}
-	core := Find(s, named)
+	core := FindCtx(context.Background(), sat.Budget{}, s, named)
 	if core == nil {
 		t.Fatal("expected a core")
 	}
