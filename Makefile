@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMinimize -fuzztime=10s ./internal/target/
 	$(GO) test -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/feder/
 	$(GO) test -fuzz=FuzzTranslationMatchesEvaluator -fuzztime=10s ./internal/relational/
+	$(GO) test -fuzz=FuzzTupleSetMatchesReference -fuzztime=5s ./internal/relational/
 
 # smoke boots a real muppetd over the Fig. 1 testdata, probes /healthz,
 # runs one check, and asserts a clean SIGTERM drain.

@@ -125,7 +125,7 @@ func TestColdCorpusAllocs(t *testing.T) {
 		name                   string
 		wantObjects, wantBytes float64
 	}{
-		{"s12-seed7-relaxed", 220680, 122242288},
+		{"s12-seed7-relaxed", 155404, 122242288},
 		{"s12-seed7-strict", 87060, 28772836},
 	} {
 		t.Run(c.name, func(t *testing.T) {

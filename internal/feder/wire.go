@@ -482,9 +482,9 @@ func (d *decoder) expr(n *Node) (relational.Expr, error) {
 		case "-":
 			return relational.Diff(l, r), nil
 		case "->":
-			return relational.Product(l, r), nil
+			return d.fits(relational.Product(l, r))
 		case ".":
-			return relational.Join(l, r), nil
+			return d.fits(relational.Join(l, r))
 		}
 		return nil, fmt.Errorf("feder: unknown binary operator %q", n.Op)
 	case "tsp":
@@ -504,9 +504,20 @@ func (d *decoder) expr(n *Node) (relational.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return relational.Comprehension(ds, body), nil
+		return d.fits(relational.Comprehension(ds, body))
 	}
 	return nil, fmt.Errorf("feder: unknown expression kind %q", n.K)
+}
+
+// fits rejects an expression wider than a tuple set over the universe can
+// be (a product, join or comprehension can widen its operands): the
+// evaluator could not check it. A wider constant is rejected when
+// NewTupleSet panics.
+func (d *decoder) fits(x relational.Expr) (relational.Expr, error) {
+	if a, max := x.Arity(), d.v.u.MaxArity(); a > max {
+		return nil, fmt.Errorf("feder: %d-ary expression over a universe whose tuples hold at most %d atoms", a, max)
+	}
+	return x, nil
 }
 
 // WireEnvelope carries E_{senders→recipient} between mediators. Only the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"muppet"
@@ -189,6 +190,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"implies-arity", &Node{K: "nry", Op: "implies", C: []*Node{{K: "cf", B: true}}}},
 		{"var-out-of-scope", varOutOfScope},
 		{"var-in-own-domain", varInOwnDomain},
+		{"wide-const", wideConst(sys)},
+		{"wide-product", &Node{K: "mlt", Op: "some", C: []*Node{{K: "bin", Op: "->", C: []*Node{
+			{K: "cst", A: sys.Universe.MaxArity()}, {K: "rel", S: "Port"}}}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,6 +200,23 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 				t.Fatalf("malformed node %+v decoded without error", tc.node)
 			}
 		})
+	}
+}
+
+// wideConst is `some c` for an empty constant one atom wider than a tuple
+// set over sys's universe can be.
+func wideConst(sys *muppet.System) *Node {
+	return &Node{K: "mlt", Op: "some", C: []*Node{{K: "cst", A: sys.Universe.MaxArity() + 1}}}
+}
+
+// TestDecodeWideConstIsMalformed checks that a constant whose tuples
+// would not fit 64-bit keys, on which relational.NewTupleSet panics,
+// reaches the caller as a malformed-formula error.
+func TestDecodeWideConstIsMalformed(t *testing.T) {
+	sys, _ := fig1(t, fig1Ports)
+	_, err := NewVocab(sys).DecodeFormulas([]*Node{wideConst(sys)})
+	if err == nil || !strings.Contains(err.Error(), "malformed wire formula") {
+		t.Fatalf("decoding a %d-ary constant: err %v, want a malformed wire formula", sys.Universe.MaxArity()+1, err)
 	}
 }
 

@@ -50,7 +50,7 @@ func Const(ts *TupleSet) *ConstExpr { return &ConstExpr{ts: ts.Clone()} }
 
 // ConstAtom builds the scalar constant {a} for a named atom.
 func ConstAtom(u *Universe, name string) *ConstExpr {
-	return Const(NewTupleSet(u, 1).AddNames(name))
+	return &ConstExpr{ts: NewTupleSet(u, 1).AddNames(name)}
 }
 
 // TupleSet returns a copy of the constant's extent.

@@ -97,9 +97,6 @@ func TestTupleHelpers(t *testing.T) {
 	if !a.Equal(b) || a.Equal(c) || a.Equal(Tuple{0}) {
 		t.Fatal("Tuple.Equal")
 	}
-	if got := a.Concat(c); !got.Equal(Tuple{0, 1, 1, 0}) {
-		t.Fatalf("Concat: %v", got)
-	}
 	if a.String(u) != "(a, b)" {
 		t.Fatalf("String: %q", a.String(u))
 	}
@@ -258,5 +255,25 @@ func TestMultAccessors(t *testing.T) {
 	q := Forall([]Decl{NewDecl(NewVar("x"), r)}, TrueFormula())
 	if !q.(*QuantFormula).IsForall() || len(q.(*QuantFormula).Decls()) != 1 {
 		t.Fatal("quant accessors")
+	}
+}
+
+// TestEvalExprReturnsCopy checks that EvalExpr's result is the caller's:
+// the evaluator shares the instance's extents and the formula's
+// constants, so a bare relation or constant must come back copied.
+func TestEvalExprReturnsCopy(t *testing.T) {
+	u := u3()
+	r := NewRelation("R", 1)
+	in := NewInstance(u)
+	in.Set(r, TupleSetOf(u, []string{"a"}))
+	k := Const(TupleSetOf(u, []string{"b"}))
+	for _, e := range []Expr{r, k, Union(r, Const(NewTupleSet(u, 1))), Intersect(k, Union(r, k)), Diff(k, r)} {
+		EvalExpr(e, in).AddNames("c")
+		if got := in.Get(r).String(); got != "{(a)}" {
+			t.Fatalf("after mutating EvalExpr(%s): R = %s, want {(a)}", e, got)
+		}
+		if got := k.TupleSet().String(); got != "{(b)}" {
+			t.Fatalf("after mutating EvalExpr(%s): constant = %s, want {(b)}", e, got)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -67,45 +68,66 @@ func (in *Instance) String() string {
 	return b.String()
 }
 
-// env maps quantified variables to the atom they are currently bound to
-// during evaluation. (The translator uses a dense binding array instead;
-// the evaluator is not hot and keeps the simple copying map.)
-type env map[*Var]int
+// The evaluator checks concrete configurations against envelopes and
+// goals (CheckCandidate, Envelope.Failing) and folds ground subterms for
+// Simplify. It is hot: a warm request evaluates its goals and envelope
+// clauses under thousands of quantifier bindings, and when it copied a
+// binding map per binding and built a string-keyed set per subterm it
+// made 40% of the bytes a serving daemon allocated. So it binds
+// variables on a stack and reads relation extents, constants and bound
+// variables in place; only an operator that changes its operands builds a
+// new key slice. A result may therefore share the instance's extents, the
+// formula's constants or the universe's rank table, and nothing may
+// modify it: EvalExpr hands out a copy.
 
-func (e env) extend(v *Var, atom int) env {
-	n := make(env, len(e)+1)
-	for k, val := range e {
-		n[k] = val
-	}
-	n[v] = atom
-	return n
+// evaluator evaluates formulas and expressions under an instance.
+type evaluator struct {
+	u  *Universe
+	in *Instance // nil: every relation is empty (Simplify's ground folds)
+	// stack holds the quantifier bindings in scope, innermost last; a
+	// variable denotes the atom of its innermost binding.
+	stack []binding
 }
+
+type binding struct {
+	v    *Var
+	atom int
+}
+
+func (ev *evaluator) push(v *Var, atom int) { ev.stack = append(ev.stack, binding{v, atom}) }
+
+func (ev *evaluator) pop() { ev.stack = ev.stack[:len(ev.stack)-1] }
 
 // Eval evaluates a closed formula under an instance.
 func Eval(f Formula, in *Instance) bool {
-	return evalFormula(f, in, env{})
+	ev := evaluator{u: in.u, in: in}
+	return ev.formula(f)
 }
 
-// EvalExpr evaluates a closed expression under an instance.
+// EvalExpr evaluates a closed expression under an instance. The result is
+// the caller's to modify.
 func EvalExpr(e Expr, in *Instance) *TupleSet {
-	return evalExpr(e, in, env{})
+	ev := evaluator{u: in.u, in: in}
+	ts := ev.expr(e)
+	return ts.Clone()
 }
 
-func evalFormula(f Formula, in *Instance, e env) bool {
+func (ev *evaluator) formula(f Formula) bool {
 	switch g := f.(type) {
 	case *ConstFormula:
 		return g.val
 
 	case *CompFormula:
-		l := evalExpr(g.l, in, e)
-		r := evalExpr(g.r, in, e)
+		l := ev.expr(g.l)
+		r := ev.expr(g.r)
 		if g.op == opIn {
-			return r.ContainsAll(l)
+			return r.ContainsAll(&l)
 		}
-		return l.Equal(r)
+		return l.Equal(&r)
 
 	case *MultFormula:
-		n := evalExpr(g.e, in, e).Len()
+		ts := ev.expr(g.e)
+		n := ts.Len()
 		switch g.mult {
 		case MultSome:
 			return n > 0
@@ -119,126 +141,115 @@ func evalFormula(f Formula, in *Instance, e env) bool {
 		panic("relational: unknown multiplicity")
 
 	case *NotFormula:
-		return !evalFormula(g.f, in, e)
+		return !ev.formula(g.f)
 
 	case *NaryFormula:
 		switch g.op {
 		case OpAnd:
 			for _, sub := range g.fs {
-				if !evalFormula(sub, in, e) {
+				if !ev.formula(sub) {
 					return false
 				}
 			}
 			return true
 		case OpOr:
 			for _, sub := range g.fs {
-				if evalFormula(sub, in, e) {
+				if ev.formula(sub) {
 					return true
 				}
 			}
 			return false
 		case OpImplies:
-			return !evalFormula(g.fs[0], in, e) || evalFormula(g.fs[1], in, e)
+			return !ev.formula(g.fs[0]) || ev.formula(g.fs[1])
 		case OpIff:
-			return evalFormula(g.fs[0], in, e) == evalFormula(g.fs[1], in, e)
+			return ev.formula(g.fs[0]) == ev.formula(g.fs[1])
 		}
 		panic("relational: unknown connective")
 
 	case *QuantFormula:
-		return evalQuant(g, g.decls, in, e)
+		return ev.quant(g, g.decls)
 
 	default:
 		panic("relational: unknown formula in Eval")
 	}
 }
 
-func evalQuant(q *QuantFormula, decls []Decl, in *Instance, e env) bool {
+func (ev *evaluator) quant(q *QuantFormula, decls []Decl) bool {
 	if len(decls) == 0 {
-		return evalFormula(q.body, in, e)
+		return ev.formula(q.body)
 	}
-	d := decls[0]
-	dom := evalExpr(d.domain, in, e)
-	for _, t := range dom.Tuples() {
-		held := evalQuant(q, decls[1:], in, e.extend(d.v, t[0]))
-		if q.forall && !held {
-			return false
-		}
-		if !q.forall && held {
-			return true
+	dom := ev.expr(decls[0].domain)
+	for _, k := range dom.keys {
+		ev.push(decls[0].v, int(ev.u.byRank[k]))
+		held := ev.quant(q, decls[1:])
+		ev.pop()
+		if held != q.forall {
+			return held
 		}
 	}
 	return q.forall
 }
 
-func evalExpr(ex Expr, in *Instance, e env) *TupleSet {
+func (ev *evaluator) expr(ex Expr) TupleSet {
 	switch g := ex.(type) {
 	case *Relation:
-		return in.Get(g)
+		if ev.in != nil {
+			if ts, ok := ev.in.m[g]; ok {
+				return *ts
+			}
+		}
+		return TupleSet{u: ev.u, arity: g.arity}
 
 	case *Var:
-		atom, ok := e[g]
-		if !ok {
-			panic("relational: unbound variable " + g.name + " in Eval")
+		for i := len(ev.stack) - 1; i >= 0; i-- {
+			if b := ev.stack[i]; b.v == g {
+				return TupleSet{u: ev.u, arity: 1, keys: ev.u.rank[b.atom : b.atom+1 : b.atom+1]}
+			}
 		}
-		return NewTupleSet(in.u, 1).Add(Tuple{atom})
+		panic("relational: unbound variable " + g.name + " in Eval")
 
 	case *ConstExpr:
-		return g.ts.Clone()
+		return *g.ts
 
 	case *BinExpr:
-		l := evalExpr(g.l, in, e)
-		r := evalExpr(g.r, in, e)
+		l := ev.expr(g.l)
+		r := ev.expr(g.r)
 		switch g.op {
 		case opUnion:
-			return l.Clone().UnionWith(r)
+			switch {
+			case len(r.keys) == 0:
+				return l
+			case len(l.keys) == 0:
+				return r
+			}
+			return TupleSet{u: ev.u, arity: l.arity, keys: union(l.keys, r.keys)}
 		case opIntersect:
-			out := NewTupleSet(in.u, l.arity)
-			for _, t := range l.Tuples() {
-				if r.Contains(t) {
-					out.Add(t)
-				}
+			if len(r.keys) < len(l.keys) {
+				l, r = r, l
 			}
-			return out
+			return TupleSet{u: ev.u, arity: l.arity, keys: filter(l.keys, r.keys, true)}
 		case opDiff:
-			out := NewTupleSet(in.u, l.arity)
-			for _, t := range l.Tuples() {
-				if !r.Contains(t) {
-					out.Add(t)
-				}
-			}
-			return out
+			return TupleSet{u: ev.u, arity: l.arity, keys: filter(l.keys, r.keys, false)}
 		case opProduct:
-			out := NewTupleSet(in.u, l.arity+r.arity)
-			for _, a := range l.Tuples() {
-				for _, b := range r.Tuples() {
-					out.Add(a.Concat(b))
-				}
-			}
-			return out
+			return ev.product(l, r)
 		case opJoin:
-			out := NewTupleSet(in.u, l.arity+r.arity-2)
-			for _, a := range l.Tuples() {
-				for _, b := range r.Tuples() {
-					if a[len(a)-1] == b[0] {
-						out.Add(a[:len(a)-1].Concat(b[1:]))
-					}
-				}
-			}
-			return out
+			return ev.join(l, r)
 		}
 		panic("relational: unknown binary expression in Eval")
 
 	case *TransposeExpr:
-		inSet := evalExpr(g.e, in, e)
-		out := NewTupleSet(in.u, 2)
-		for _, t := range inSet.Tuples() {
-			out.Add(Tuple{t[1], t[0]})
+		inner := ev.expr(g.e)
+		n := uint64(ev.u.Size())
+		keys := make([]uint64, len(inner.keys))
+		for i, k := range inner.keys {
+			keys[i] = k%n*n + k/n
 		}
-		return out
+		slices.Sort(keys)
+		return TupleSet{u: ev.u, arity: 2, keys: keys}
 
 	case *ComprehensionExpr:
-		out := NewTupleSet(in.u, len(g.decls))
-		evalComprehension(g, g.decls, nil, in, e, out)
+		out := emptySet(ev.u, len(g.decls))
+		ev.comprehension(g, g.decls, 0, &out.keys)
 		return out
 
 	default:
@@ -246,16 +257,71 @@ func evalExpr(ex Expr, in *Instance, e env) *TupleSet {
 	}
 }
 
-func evalComprehension(c *ComprehensionExpr, decls []Decl, prefix Tuple, in *Instance, e env, out *TupleSet) {
+// product concatenates every left tuple with every right tuple: the key
+// of a++b is key(a)·|U|^arity(b) + key(b), so a left-major walk of two
+// sorted operands yields sorted keys.
+func (ev *evaluator) product(l, r TupleSet) TupleSet {
+	out := emptySet(ev.u, l.arity+r.arity)
+	if len(l.keys) == 0 || len(r.keys) == 0 {
+		return out
+	}
+	w := pow(ev.u.Size(), r.arity)
+	out.keys = make([]uint64, 0, len(l.keys)*len(r.keys))
+	for _, a := range l.keys {
+		for _, b := range r.keys {
+			out.keys = append(out.keys, a*w+b)
+		}
+	}
+	return out
+}
+
+// join matches each left tuple's last atom with the right tuples starting
+// with it. Those are the right keys in [c·w, (c+1)·w), where c is the
+// atom's rank and w = |U|^(arity(r)−1); the joined key is the left key's
+// prefix times w plus the right key's remainder. Left tuples that differ
+// only in their last atom can interleave their joins, so the keys are
+// sorted afterwards when they came out of order.
+func (ev *evaluator) join(l, r TupleSet) TupleSet {
+	out := emptySet(ev.u, l.arity+r.arity-2)
+	n := uint64(ev.u.Size())
+	w := pow(ev.u.Size(), r.arity-1)
+	sorted := true
+	for _, a := range l.keys {
+		lo := a % n * w
+		i, _ := slices.BinarySearch(r.keys, lo)
+		for _, b := range r.keys[i:] {
+			if b >= lo+w {
+				break
+			}
+			k := a/n*w + b - lo
+			if len(out.keys) > 0 && k <= out.keys[len(out.keys)-1] {
+				sorted = false
+			}
+			out.keys = append(out.keys, k)
+		}
+	}
+	if !sorted {
+		slices.Sort(out.keys)
+		out.keys = slices.Compact(out.keys)
+	}
+	return out
+}
+
+// comprehension appends to out the keys of the bindings of decls that
+// satisfy c's body; prefix is the key of the enclosing declarations'
+// atoms. Domains are walked in key order, so the keys come out sorted.
+func (ev *evaluator) comprehension(c *ComprehensionExpr, decls []Decl, prefix uint64, out *[]uint64) {
 	if len(decls) == 0 {
-		if evalFormula(c.body, in, e) {
-			out.Add(prefix)
+		if ev.formula(c.body) {
+			*out = append(*out, prefix)
 		}
 		return
 	}
-	d := decls[0]
-	dom := evalExpr(d.domain, in, e)
-	for _, t := range dom.Tuples() {
-		evalComprehension(c, decls[1:], prefix.Concat(t), in, e.extend(d.v, t[0]), out)
+	n := uint64(ev.u.Size())
+	dom := ev.expr(decls[0].domain)
+	for _, k := range dom.keys {
+		ev.push(decls[0].v, int(ev.u.byRank[k]))
+		ev.comprehension(c, decls[1:], prefix*n+k, out)
+		ev.pop()
 	}
 }

@@ -290,18 +290,14 @@ func tryUniformFold(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 		}
 		vars = append(vars, v)
 	}
-	inst := NewInstance(u)
+	ev := evaluator{u: u}
 	var verdict bool
 	first := true
 	uniform := true
-	binding := make(env, len(vars))
 	var rec func(i int)
 	rec = func(i int) {
-		if !uniform {
-			return
-		}
 		if i == len(vars) {
-			got := evalFormula(f, inst, binding)
+			got := ev.formula(f)
 			if first {
 				verdict, first = got, false
 			} else if got != verdict {
@@ -309,9 +305,10 @@ func tryUniformFold(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 			}
 			return
 		}
-		for _, t := range vd[vars[i]].Tuples() {
-			binding[vars[i]] = t[0]
+		for _, k := range vd[vars[i]].keys {
+			ev.push(vars[i], int(u.byRank[k]))
 			rec(i + 1)
+			ev.pop()
 			if !uniform {
 				return
 			}
@@ -336,14 +333,8 @@ func simpFEnv(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 		l, lg := simpEEnv(g.l, u, vd)
 		r, rg := simpEEnv(g.r, u, vd)
 		if lg && rg {
-			in := NewInstance(u)
-			var res bool
-			if g.op == opIn {
-				res = EvalExpr(r, in).ContainsAll(EvalExpr(l, in))
-			} else {
-				res = EvalExpr(l, in).Equal(EvalExpr(r, in))
-			}
-			return constOf(res), true
+			ev := evaluator{u: u}
+			return constOf(ev.formula(&CompFormula{op: g.op, l: l, r: r})), true
 		}
 		// x in none ⇒ false when x is provably non-empty is not decidable
 		// here, but none in x is always true.
@@ -364,7 +355,8 @@ func simpFEnv(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 	case *MultFormula:
 		e, ground := simpEEnv(g.e, u, vd)
 		if ground {
-			n := EvalExpr(e, NewInstance(u)).Len()
+			ev := evaluator{u: u}
+			n := len(ev.expr(e).keys)
 			switch g.mult {
 			case MultSome:
 				return constOf(n > 0), true
@@ -468,8 +460,7 @@ func simpEEnv(e Expr, u *Universe, vd varDomains) (Expr, bool) {
 		l, lg := simpEEnv(g.l, u, vd)
 		r, rg := simpEEnv(g.r, u, vd)
 		if lg && rg {
-			in := NewInstance(u)
-			return Const(EvalExpr(&BinExpr{op: g.op, l: l, r: r}, in)), true
+			return fold(&BinExpr{op: g.op, l: l, r: r}, u), true
 		}
 		// Identity folds against constant operands.
 		if lc, lok := l.(*ConstExpr); lok && lc.ts.Len() == 0 {
@@ -493,7 +484,7 @@ func simpEEnv(e Expr, u *Universe, vd varDomains) (Expr, bool) {
 	case *TransposeExpr:
 		inner, ground := simpEEnv(g.e, u, vd)
 		if ground {
-			return Const(EvalExpr(&TransposeExpr{e: inner}, NewInstance(u))), true
+			return fold(&TransposeExpr{e: inner}, u), true
 		}
 		return &TransposeExpr{e: inner}, false
 
@@ -523,7 +514,7 @@ func simpEEnv(e Expr, u *Universe, vd varDomains) (Expr, bool) {
 				}
 			}
 			if allConst {
-				return Const(EvalExpr(out, NewInstance(u))), true
+				return fold(out, u), true
 			}
 		}
 		return out, false
@@ -531,6 +522,14 @@ func simpEEnv(e Expr, u *Universe, vd varDomains) (Expr, bool) {
 	default:
 		panic("relational: unknown expression in Simplify")
 	}
+}
+
+// fold evaluates a ground expression to a constant. The evaluator's
+// result may share an operand constant's keys, which Const copies.
+func fold(e Expr, u *Universe) Expr {
+	ev := evaluator{u: u}
+	ts := ev.expr(e)
+	return Const(&ts)
 }
 
 func emptyConst(u *Universe, arity int) Expr {

@@ -94,7 +94,7 @@ func (ss *Session) Instance() *Instance {
 				ts.Add(rv.Tuple)
 			}
 		}
-		in.Set(r, ts)
+		in.m[r] = ts // ts is new: no copy for Set to make
 	}
 	return in
 }

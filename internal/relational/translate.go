@@ -189,14 +189,18 @@ func NewTranslator(b *Bounds, f *boolcirc.Factory) *Translator {
 		structCache: make(map[string]boolcirc.Ref),
 	}
 	for _, r := range b.Relations() {
-		lower := b.Lower(r)
-		upper := b.Upper(r).Tuples()
+		lower := b.Lower(r).keys
+		upper := b.Upper(r).keys
 		m := make(matrix, 0, len(upper))
 		var vars []RelVar
 		idx := make(map[int32]boolcirc.Ref)
-		for _, t := range upper {
+		t := make(Tuple, r.arity)
+		for _, k := range upper {
+			b.u.unpack(k, t)
 			id := tr.intern(t, nil)
-			if lower.Contains(t) {
+			// lower ⊆ upper, and both are in key order.
+			if len(lower) > 0 && lower[0] == k {
+				lower = lower[1:]
 				m = append(m, cell{id: id, r: boolcirc.True})
 				continue
 			}
@@ -476,13 +480,12 @@ func (h *hasher) expr(ex Expr) {
 		}
 		h.b = append(h.b, ';')
 	case *ConstExpr:
+		// A key names its tuple given the universe's size.
 		h.mark('k', g.ts.arity)
+		h.mark('/', g.ts.u.Size())
 		h.b = append(h.b, '{')
-		for _, t := range g.ts.Tuples() {
-			for _, a := range t {
-				h.b = strconv.AppendInt(h.b, int64(a), 10)
-				h.b = append(h.b, ',')
-			}
+		for _, k := range g.ts.keys {
+			h.b = strconv.AppendUint(h.b, k, 10)
 			h.b = append(h.b, ';')
 		}
 		h.b = append(h.b, '}')
@@ -743,7 +746,9 @@ func (tr *Translator) exprUncached(ex Expr) matrix {
 
 	case *ConstExpr:
 		m := make(matrix, 0, g.ts.Len())
-		for _, t := range g.ts.Tuples() {
+		t := make(Tuple, g.ts.arity)
+		for _, k := range g.ts.keys {
+			g.ts.u.unpack(k, t)
 			m = append(m, cell{id: tr.intern(t, nil), r: boolcirc.True})
 		}
 		tr.sort(m)

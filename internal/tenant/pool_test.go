@@ -221,8 +221,8 @@ func TestLedgerFleetUnderHalfBudget(t *testing.T) {
 		passes        []counts
 		allocs, bytes float64 // per query
 	}{
-		{"no-goals", false, []counts{{8, 0, 6, 31656}, {16, 0, 14, 31656}, {24, 0, 22, 31656}, {32, 0, 30, 31656}}, 1762, 295132},
-		{"goals", true, []counts{{8, 0, 6, 457000}, {16, 0, 14, 457000}, {24, 0, 22, 457000}, {32, 0, 30, 457000}}, 5821, 1753773},
+		{"no-goals", false, []counts{{8, 0, 6, 31656}, {16, 0, 14, 31656}, {24, 0, 22, 31656}, {32, 0, 30, 31656}}, 741, 205170},
+		{"goals", true, []counts{{8, 0, 6, 457000}, {16, 0, 14, 457000}, {24, 0, 22, 457000}, {32, 0, 30, 457000}}, 3526, 1753773},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ctx := context.Background()

@@ -263,7 +263,7 @@ func perRun(runs int, f func()) (objects, bytes float64) {
 // session's bounds, so most of what it allocates is its own party build,
 // solve and render.
 func TestWarmServedReconcileAllocs(t *testing.T) {
-	const wantObjects, wantBytes = 3014, 249863
+	const wantObjects, wantBytes = 2069, 155400
 	st := corpusState(t, "s12-seed7-relaxed")
 	cache := muppet.NewSolveCache()
 	ctx := context.Background()
