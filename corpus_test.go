@@ -126,7 +126,7 @@ func TestColdCorpusAllocs(t *testing.T) {
 		wantObjects, wantBytes float64
 	}{
 		{"s12-seed7-relaxed", 155404, 122242288},
-		{"s12-seed7-strict", 87060, 28772836},
+		{"s12-seed7-strict", 62032, 28772836},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := filepath.Join("testdata/corpus", c.name)

@@ -113,14 +113,26 @@ func NewK8sParty(sys *encode.System, cfg *mesh.K8sConfig, offer encode.Offer, ro
 		},
 		describe: func() string { return mesh.DescribeK8s(st.Config) },
 	}
+	gs, err := NamedK8sGoals(sys, rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.Goals = gs
+	return p, st, nil
+}
+
+// NamedK8sGoals compiles a K8s goal table into the goals a K8s party
+// carries, one per row, each named after its row for blame feedback.
+func NamedK8sGoals(sys *encode.System, rows []goals.K8sGoal) ([]NamedGoal, error) {
+	var out []NamedGoal
 	for _, row := range rows {
 		f, err := sys.CompileK8sGoal(row)
 		if err != nil {
-			return nil, nil, fmt.Errorf("muppet: K8s goal %s: %w", row, err)
+			return nil, fmt.Errorf("muppet: K8s goal %s: %w", row, err)
 		}
-		p.Goals = append(p.Goals, NamedGoal{Name: "k8s-goal[" + row.String() + "]", Formula: f})
+		out = append(out, NamedGoal{Name: "k8s-goal[" + row.String() + "]", Formula: f})
 	}
-	return p, st, nil
+	return out, nil
 }
 
 // IstioPartyState is the mutable state behind an Istio party. Exposure
@@ -160,20 +172,32 @@ func NewIstioParty(sys *encode.System, cfg *mesh.IstioConfig, offer encode.Offer
 			return s
 		},
 	}
-	if len(rows) > 0 {
-		f, err := sys.CompileIstioGoals(rows)
-		if err != nil {
-			return nil, nil, fmt.Errorf("muppet: Istio goals: %w", err)
-		}
-		name := "istio-goals["
-		for i, r := range rows {
-			if i > 0 {
-				name += "; "
-			}
-			name += r.String()
-		}
-		name += "]"
-		p.Goals = append(p.Goals, NamedGoal{Name: name, Formula: f})
+	gs, err := NamedIstioGoals(sys, rows)
+	if err != nil {
+		return nil, nil, err
 	}
+	p.Goals = gs
 	return p, st, nil
+}
+
+// NamedIstioGoals compiles an Istio goal table into the goals an Istio
+// party carries: one joint goal named after all its rows, or none for an
+// empty table.
+func NamedIstioGoals(sys *encode.System, rows []goals.IstioGoal) ([]NamedGoal, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	f, err := sys.CompileIstioGoals(rows)
+	if err != nil {
+		return nil, fmt.Errorf("muppet: Istio goals: %w", err)
+	}
+	name := "istio-goals["
+	for i, r := range rows {
+		if i > 0 {
+			name += "; "
+		}
+		name += r.String()
+	}
+	name += "]"
+	return []NamedGoal{{Name: name, Formula: f}}, nil
 }

@@ -223,6 +223,43 @@ func TestUniformFoldUnderQuantifier(t *testing.T) {
 	}
 }
 
+// TestUniformFoldReadsInnermostBinding binds one *Var again in nested and
+// sibling scopes over different constant domains. Every case is
+// relation-free, so Simplify folds it to a constant; a fold that read the
+// outer binding, or a binding whose scope had ended, gives the wrong one.
+func TestUniformFoldReadsInnermostBinding(t *testing.T) {
+	u := u3()
+	x, y := NewVar("x"), NewVar("y")
+	a := Const(TupleSetOf(u, []string{"a"}))
+	bc := Const(TupleSetOf(u, []string{"b"}, []string{"c"}))
+	none := Const(NewTupleSet(u, 1))
+	all := func(v *Var, dom Expr, body Formula) Formula { return Forall([]Decl{NewDecl(v, dom)}, body) }
+	some := func(v *Var, dom Expr, body Formula) Formula { return Exists([]Decl{NewDecl(v, dom)}, body) }
+	for _, c := range []struct {
+		name string
+		f    Formula
+		want bool
+	}{
+		// The inner x ranges over {b,c}, not the outer {a}.
+		{"nested", all(x, a, And(all(x, bc, In(x, bc)), In(x, a))), true},
+		{"nested-negated", some(x, bc, Not(some(x, a, In(x, bc)))), true},
+		// After the inner scope ends, x is the outer one again.
+		{"after-nested", all(x, bc, And(all(x, a, In(x, a)), In(x, bc))), true},
+		// An empty domain ends the inner scope early, after x was bound.
+		{"after-empty-domain", all(x, bc, And(Forall([]Decl{NewDecl(x, a), NewDecl(y, none)}, FalseFormula()), In(x, bc))), true},
+		{"after-comprehension", all(x, a, And(Some(Comprehension([]Decl{NewDecl(x, bc)}, In(x, bc))), In(x, a))), true},
+		{"siblings", And(all(x, a, In(x, a)), some(x, bc, In(x, bc)), all(x, bc, Not(In(x, a)))), true},
+		{"siblings-false", Or(all(x, a, In(x, bc)), all(x, bc, In(x, a))), false},
+	} {
+		if got := Eval(c.f, NewInstance(u)); got != c.want {
+			t.Fatalf("%s: Eval = %v, want %v: %s", c.name, got, c.want, c.f)
+		}
+		if got := Simplify(c.f, u); got != constOf(c.want) {
+			t.Errorf("%s: Simplify(%s) = %s, want %v", c.name, c.f, got, c.want)
+		}
+	}
+}
+
 func TestRelationAccessors(t *testing.T) {
 	r := NewRelation("R", 3)
 	if r.Name() != "R" || r.Arity() != 3 {

@@ -247,21 +247,43 @@ func Decompose(f Formula) []Formula {
 // before presenting them (Fig. 5) and as a mitigation for configuration
 // leakage (Sec. 7).
 func Simplify(f Formula, u *Universe) Formula {
-	g, _ := simpFEnv(f, u, varDomains{})
+	s := simplifier{u: u}
+	g, _ := s.formula(f)
 	return g
 }
 
-// varDomains records, for each in-scope quantified variable, the constant
-// domain it ranges over (nil when the domain is not a constant).
-type varDomains map[*Var]*TupleSet
+// simplifier holds Simplify's scope stack: the quantified variables in
+// scope, innermost last, each with the constant domain it ranges over
+// (nil when the domain is not a constant). A variable denotes its
+// innermost binding, so a nested quantifier may bind a *Var again.
+type simplifier struct {
+	u     *Universe
+	scope []varDomain
+}
 
-func (vd varDomains) extend(v *Var, dom *TupleSet) varDomains {
-	n := make(varDomains, len(vd)+1)
-	for k, val := range vd {
-		n[k] = val
+type varDomain struct {
+	v   *Var
+	dom *TupleSet
+}
+
+// push brings v into scope over dom, keeping dom's tuples when it is a
+// constant. Scopes end by truncating the stack to its length at entry.
+func (s *simplifier) push(v *Var, dom Expr) {
+	var ts *TupleSet
+	if dc, ok := dom.(*ConstExpr); ok {
+		ts = dc.ts
 	}
-	n[v] = dom
-	return n
+	s.scope = append(s.scope, varDomain{v, ts})
+}
+
+// domain returns the constant domain of v's innermost binding, or nil.
+func (s *simplifier) domain(v *Var) *TupleSet {
+	for i := len(s.scope) - 1; i >= 0; i-- {
+		if s.scope[i].v == v {
+			return s.scope[i].dom
+		}
+	}
+	return nil
 }
 
 // uniformFoldBudget caps the number of bindings tried when folding a
@@ -272,7 +294,7 @@ const uniformFoldBudget = 4096
 // constant by evaluating it under every binding of its free variables to
 // their (constant) quantifier domains. It returns the fold and whether it
 // applied.
-func tryUniformFold(f Formula, u *Universe, vd varDomains) (Formula, bool) {
+func (s *simplifier) tryUniformFold(f Formula) (Formula, bool) {
 	if len(FreeRelations(f)) != 0 {
 		return nil, false
 	}
@@ -280,7 +302,7 @@ func tryUniformFold(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 	vars := make([]*Var, 0, len(fv))
 	total := 1
 	for v := range fv {
-		dom := vd[v]
+		dom := s.domain(v)
 		if dom == nil || dom.Len() == 0 {
 			return nil, false
 		}
@@ -290,7 +312,7 @@ func tryUniformFold(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 		}
 		vars = append(vars, v)
 	}
-	ev := evaluator{u: u}
+	ev := evaluator{u: s.u}
 	var verdict bool
 	first := true
 	uniform := true
@@ -305,8 +327,8 @@ func tryUniformFold(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 			}
 			return
 		}
-		for _, k := range vd[vars[i]].keys {
-			ev.push(vars[i], int(u.byRank[k]))
+		for _, k := range s.domain(vars[i]).keys {
+			ev.push(vars[i], int(s.u.byRank[k]))
 			rec(i + 1)
 			ev.pop()
 			if !uniform {
@@ -321,17 +343,18 @@ func tryUniformFold(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 	return constOf(verdict), true
 }
 
-// simpF returns the simplified formula and whether it is ground (contains
-// no relations and no quantified variables), in which case it has been
-// folded to a constant.
-func simpFEnv(f Formula, u *Universe, vd varDomains) (Formula, bool) {
+// formula returns the simplified formula and whether it is ground
+// (contains no relations and no quantified variables), in which case it
+// has been folded to a constant.
+func (s *simplifier) formula(f Formula) (Formula, bool) {
+	u := s.u
 	switch g := f.(type) {
 	case *ConstFormula:
 		return g, true
 
 	case *CompFormula:
-		l, lg := simpEEnv(g.l, u, vd)
-		r, rg := simpEEnv(g.r, u, vd)
+		l, lg := s.expr(g.l)
+		r, rg := s.expr(g.r)
 		if lg && rg {
 			ev := evaluator{u: u}
 			return constOf(ev.formula(&CompFormula{op: g.op, l: l, r: r})), true
@@ -347,13 +370,13 @@ func simpFEnv(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 		} else {
 			rebuilt = Equals(l, r)
 		}
-		if folded, ok := tryUniformFold(rebuilt, u, vd); ok {
+		if folded, ok := s.tryUniformFold(rebuilt); ok {
 			return folded, true
 		}
 		return rebuilt, false
 
 	case *MultFormula:
-		e, ground := simpEEnv(g.e, u, vd)
+		e, ground := s.expr(g.e)
 		if ground {
 			ev := evaluator{u: u}
 			n := len(ev.expr(e).keys)
@@ -369,13 +392,13 @@ func simpFEnv(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 			}
 		}
 		rebuilt := Formula(&MultFormula{mult: g.mult, e: e})
-		if folded, ok := tryUniformFold(rebuilt, u, vd); ok {
+		if folded, ok := s.tryUniformFold(rebuilt); ok {
 			return folded, true
 		}
 		return rebuilt, false
 
 	case *NotFormula:
-		inner, ground := simpFEnv(g.f, u, vd)
+		inner, ground := s.formula(g.f)
 		return Not(inner), ground
 
 	case *NaryFormula:
@@ -383,7 +406,7 @@ func simpFEnv(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 		allGround := true
 		for i, sub := range g.fs {
 			var ground bool
-			fs[i], ground = simpFEnv(sub, u, vd)
+			fs[i], ground = s.formula(sub)
 			allGround = allGround && ground
 		}
 		var out Formula
@@ -402,21 +425,19 @@ func simpFEnv(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 
 	case *QuantFormula:
 		decls := make([]Decl, len(g.decls))
-		inner := vd
+		mark := len(s.scope)
 		for i, d := range g.decls {
-			dom, _ := simpEEnv(d.domain, u, inner)
+			dom, _ := s.expr(d.domain)
 			decls[i] = NewDecl(d.v, dom)
 			// An empty constant domain collapses the quantifier.
 			if dc, ok := dom.(*ConstExpr); ok && dc.ts.Len() == 0 {
+				s.scope = s.scope[:mark]
 				return constOf(g.forall), true
 			}
-			if dc, ok := dom.(*ConstExpr); ok {
-				inner = inner.extend(d.v, dc.ts)
-			} else {
-				inner = inner.extend(d.v, nil)
-			}
+			s.push(d.v, dom)
 		}
-		body, _ := simpFEnv(g.body, u, inner)
+		body, _ := s.formula(g.body)
+		s.scope = s.scope[:mark]
 		if c, ok := body.(*ConstFormula); ok {
 			// ∀x|true ≡ true; ∃x|false ≡ false. The other two cases depend
 			// on domain non-emptiness, known when domains are constants.
@@ -445,9 +466,10 @@ func simpFEnv(f Formula, u *Universe, vd varDomains) (Formula, bool) {
 	}
 }
 
-// simpE simplifies an expression and reports whether it is ground
+// expr simplifies an expression and reports whether it is ground
 // (relation- and variable-free); ground expressions fold to constants.
-func simpEEnv(e Expr, u *Universe, vd varDomains) (Expr, bool) {
+func (s *simplifier) expr(e Expr) (Expr, bool) {
+	u := s.u
 	switch g := e.(type) {
 	case *Relation:
 		return g, false
@@ -457,8 +479,8 @@ func simpEEnv(e Expr, u *Universe, vd varDomains) (Expr, bool) {
 		return g, true
 
 	case *BinExpr:
-		l, lg := simpEEnv(g.l, u, vd)
-		r, rg := simpEEnv(g.r, u, vd)
+		l, lg := s.expr(g.l)
+		r, rg := s.expr(g.r)
 		if lg && rg {
 			return fold(&BinExpr{op: g.op, l: l, r: r}, u), true
 		}
@@ -482,7 +504,7 @@ func simpEEnv(e Expr, u *Universe, vd varDomains) (Expr, bool) {
 		return &BinExpr{op: g.op, l: l, r: r}, false
 
 	case *TransposeExpr:
-		inner, ground := simpEEnv(g.e, u, vd)
+		inner, ground := s.expr(g.e)
 		if ground {
 			return fold(&TransposeExpr{e: inner}, u), true
 		}
@@ -490,17 +512,14 @@ func simpEEnv(e Expr, u *Universe, vd varDomains) (Expr, bool) {
 
 	case *ComprehensionExpr:
 		decls := make([]Decl, len(g.decls))
-		inner := vd
+		mark := len(s.scope)
 		for i, d := range g.decls {
-			dom, _ := simpEEnv(d.domain, u, inner)
+			dom, _ := s.expr(d.domain)
 			decls[i] = NewDecl(d.v, dom)
-			if dc, ok := dom.(*ConstExpr); ok {
-				inner = inner.extend(d.v, dc.ts)
-			} else {
-				inner = inner.extend(d.v, nil)
-			}
+			s.push(d.v, dom)
 		}
-		body, _ := simpFEnv(g.body, u, inner)
+		body, _ := s.formula(g.body)
+		s.scope = s.scope[:mark]
 		out := &ComprehensionExpr{decls: decls, body: body}
 		// A comprehension is ground when all domains are constant, the body
 		// mentions no relations, and the body's only free variables are the

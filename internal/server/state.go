@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"muppet"
 	"muppet/internal/feder"
@@ -33,10 +34,17 @@ type Config struct {
 	Ports      string // comma-separated extra ports ("" = none)
 }
 
-// State is the shared, immutable serving state: the compiled system and
-// the retained inputs from which every request builds its own parties.
-// Parties are mutable (Adopt rewrites their configuration), so they are
-// per-request; only the System and the loaded inputs are shared.
+// State is one revision's shared, immutable serving state: the compiled
+// system, the retained inputs, and both goal tables compiled over the
+// system once, on first use. Every request builds its own parties from
+// it. Parties are mutable (Adopt rewrites their configuration), so each
+// gets its own configuration copies, offers and goal slice; the goal
+// formulas in those slices are shared, because relational formulas are
+// immutable and a revision replaces a party's goals rather than editing
+// them.
+//
+// A State may be built as a struct literal; its goals are then compiled
+// by the first call that needs them. It must not be copied.
 type State struct {
 	Sys    *muppet.System
 	Bundle *muppet.Bundle
@@ -45,12 +53,18 @@ type State struct {
 	IstioGoalRows []muppet.IstioGoal
 	K8sOffer      muppet.Offer
 	IstioOffer    muppet.Offer
+
+	// The goal tables compiled over Sys, set once by compileGoals.
+	goalsOnce  sync.Once
+	k8sGoals   []muppet.NamedGoal
+	istioGoals []muppet.NamedGoal
+	goalsErr   error
 }
 
 // Load builds the serving state from cfg: parse the bundle and goal
-// tables, collect the port inventory, compile the system, and validate
-// the offer modes. It also builds one throwaway party pair so malformed
-// goals surface at load time, not on the first request.
+// tables, collect the port inventory, compile the system, validate the
+// offer modes, and compile the goals every request's parties share, so
+// malformed goals surface at load time, not on the first request.
 func Load(cfg Config) (*State, error) {
 	if cfg.Files == "" {
 		return nil, fmt.Errorf("-files is required")
@@ -96,23 +110,41 @@ func Load(cfg Config) (*State, error) {
 	if st.IstioOffer, err = ParseOffer(cfg.IstioOffer); err != nil {
 		return nil, err
 	}
-	if _, _, err := st.FreshParties(); err != nil {
+	if err := st.compileGoals(); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
+// compileGoals compiles both goal tables over Sys the first time it
+// runs, and reports that compile's error on every call.
+func (st *State) compileGoals() error {
+	st.goalsOnce.Do(func() {
+		if st.k8sGoals, st.goalsErr = muppet.NamedK8sGoals(st.Sys, st.K8sGoalRows); st.goalsErr != nil {
+			return
+		}
+		st.istioGoals, st.goalsErr = muppet.NamedIstioGoals(st.Sys, st.IstioGoalRows)
+	})
+	return st.goalsErr
+}
+
 // FreshParties builds a new party pair over the shared system — the
-// per-request mutable state of the serving loop.
+// per-request mutable state of the serving loop. Each party gets its own
+// copy of the compiled goal slice over the shared formulas.
 func (st *State) FreshParties() (k8s, istio *muppet.Party, err error) {
-	k8s, _, err = muppet.NewK8sParty(st.Sys, st.Bundle.K8s, st.K8sOffer, st.K8sGoalRows)
+	if err := st.compileGoals(); err != nil {
+		return nil, nil, err
+	}
+	k8s, _, err = muppet.NewK8sParty(st.Sys, st.Bundle.K8s, st.K8sOffer, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	istio, _, err = muppet.NewIstioParty(st.Sys, st.Bundle.Istio, st.IstioOffer, st.IstioGoalRows)
+	istio, _, err = muppet.NewIstioParty(st.Sys, st.Bundle.Istio, st.IstioOffer, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	k8s.Goals = slices.Clone(st.k8sGoals)
+	istio.Goals = slices.Clone(st.istioGoals)
 	return k8s, istio, nil
 }
 
@@ -127,23 +159,32 @@ func (st *State) Snapshot() (*muppet.DeltaRevision, error) {
 	return muppet.Snapshot(st.Sys, []*muppet.Party{k8s, istio}), nil
 }
 
-// RebasedOn returns a copy of this state re-anchored on another
-// revision's system: parties built from the copy ground the new
-// revision's goals and configurations over sys's vocabulary, so the
-// previous revision's warm sessions keep serving, with answers identical
-// to the state's own. It fails — and the caller must fall back to a cold
-// build — unless sys has exactly the state's universe atoms in the same
-// order (delta.Compare's rule) and the same structure, which the atoms
-// do not name but goal compilation and the exact bounds read from the
-// system: each service's labels and listening ports, and each policy's
-// selector.
+// RebasedOn returns a new state with this state's inputs, re-anchored on
+// another revision's system: its goals are compiled afresh over sys's
+// vocabulary, and parties built from it ground the new revision's
+// configurations there too, so the previous revision's warm sessions
+// keep serving, with answers identical to the state's own. It fails — and
+// the caller must fall back to a cold build — unless sys has exactly the
+// state's universe atoms in the same order (delta.Compare's rule) and the
+// same structure, which the atoms do not name but goal compilation and
+// the exact bounds read from the system: each service's labels and
+// listening ports, and each policy's selector.
 func (st *State) RebasedOn(sys *muppet.System) (*State, error) {
 	if err := sameVocabulary(st.Sys, sys); err != nil {
 		return nil, fmt.Errorf("rebase: %w", err)
 	}
-	cp := *st
-	cp.Sys = sys
-	return &cp, nil
+	rb := &State{
+		Sys:           sys,
+		Bundle:        st.Bundle,
+		K8sGoalRows:   st.K8sGoalRows,
+		IstioGoalRows: st.IstioGoalRows,
+		K8sOffer:      st.K8sOffer,
+		IstioOffer:    st.IstioOffer,
+	}
+	if err := rb.compileGoals(); err != nil {
+		return nil, fmt.Errorf("rebase: %w", err)
+	}
+	return rb, nil
 }
 
 // sameVocabulary reports why sys cannot stand in for own, or nil when
@@ -179,13 +220,14 @@ func sameVocabulary(own, sys *muppet.System) error {
 }
 
 // FedParty materializes this state's side of a federated negotiation:
-// the named party (k8s or istio) wrapped for the /fed/ peer protocol.
+// the named party (k8s or istio) wrapped for the /fed/ peer protocol,
+// carrying its own copy of the compiled goal slice.
 func (st *State) FedParty(kind string) (*feder.LocalParty, error) {
 	switch strings.ToLower(kind) {
 	case "k8s", "kubernetes":
-		return feder.NewLocalK8s(st.Sys, st.Bundle.K8s, st.K8sOffer, st.K8sGoalRows, "")
+		return st.localK8s()
 	case "istio":
-		return feder.NewLocalIstio(st.Sys, st.Bundle.Istio, st.IstioOffer, st.IstioGoalRows, "")
+		return st.localIstio()
 	}
 	return nil, fmt.Errorf("%w: bad federated party %q (want k8s or istio)", ErrUsage, kind)
 }
@@ -194,15 +236,39 @@ func (st *State) FedParty(kind string) (*feder.LocalParty, error) {
 // FreshParties uses (k8s, then istio), which fixes the round-robin cycle
 // — and therefore byte-parity with the single-process negotiation.
 func (st *State) FedReplicas() ([]*feder.LocalParty, error) {
-	k8s, err := feder.NewLocalK8s(st.Sys, st.Bundle.K8s, st.K8sOffer, st.K8sGoalRows, "")
+	k8s, err := st.localK8s()
 	if err != nil {
 		return nil, err
 	}
-	istio, err := feder.NewLocalIstio(st.Sys, st.Bundle.Istio, st.IstioOffer, st.IstioGoalRows, "")
+	istio, err := st.localIstio()
 	if err != nil {
 		return nil, err
 	}
 	return []*feder.LocalParty{k8s, istio}, nil
+}
+
+func (st *State) localK8s() (*feder.LocalParty, error) {
+	if err := st.compileGoals(); err != nil {
+		return nil, err
+	}
+	lp, err := feder.NewLocalK8s(st.Sys, st.Bundle.K8s, st.K8sOffer, nil, "")
+	if err != nil {
+		return nil, err
+	}
+	lp.P.Goals = slices.Clone(st.k8sGoals)
+	return lp, nil
+}
+
+func (st *State) localIstio() (*feder.LocalParty, error) {
+	if err := st.compileGoals(); err != nil {
+		return nil, err
+	}
+	lp, err := feder.NewLocalIstio(st.Sys, st.Bundle.Istio, st.IstioOffer, nil, "")
+	if err != nil {
+		return nil, err
+	}
+	lp.P.Goals = slices.Clone(st.istioGoals)
+	return lp, nil
 }
 
 // ParseOffer maps an offer-mode name to an Offer, "" meaning fixed.

@@ -304,6 +304,17 @@ func NewIstioParty(sys *System, cfg *IstioConfig, offer Offer, rows []IstioGoal)
 	return core.NewIstioParty(sys, cfg, offer, rows)
 }
 
+// NamedK8sGoals compiles a K8s goal table into a K8s party's goals.
+func NamedK8sGoals(sys *System, rows []K8sGoal) ([]NamedGoal, error) {
+	return core.NamedK8sGoals(sys, rows)
+}
+
+// NamedIstioGoals compiles an Istio goal table into an Istio party's
+// goals.
+func NamedIstioGoals(sys *System, rows []IstioGoal) ([]NamedGoal, error) {
+	return core.NamedIstioGoals(sys, rows)
+}
+
 // AllSoft marks every knob soft: a full configuration open to compromise.
 func AllSoft() Offer { return encode.AllSoft() }
 

@@ -259,11 +259,12 @@ func perRun(runs int, f func()) (objects, bytes float64) {
 // the services=12 corpus case, served through server.Exec as the daemon
 // serves it: objects and bytes per request within 25% either side of the
 // values recorded when the test was written. A warm request classifies
-// its parties' offers against the System's knob table and reuses the
-// session's bounds, so most of what it allocates is its own party build,
-// solve and render.
+// its parties' offers against the System's knob table, reuses the
+// session's bounds and takes its goals from the State's one compile, so
+// most of what it allocates is its own configuration copies, solve and
+// render.
 func TestWarmServedReconcileAllocs(t *testing.T) {
-	const wantObjects, wantBytes = 2069, 155400
+	const wantObjects, wantBytes = 657, 102200
 	st := corpusState(t, "s12-seed7-relaxed")
 	cache := muppet.NewSolveCache()
 	ctx := context.Background()
